@@ -9,13 +9,11 @@ and completes the rule u_t = F_y y_t + F_z z_t through
 
     F_z = -(R + b B' P_y B)^{-1} b B' (P_y A_yz + P_z A_zz).
 
-The default route vectorizes the equation (column-stacking convention) into
-
-    (I - b kron(A_zz', Abar')) vec(P_z) = vec(Q_yz + b Abar' P_y A_yz)
-
-and solves it exactly; stability of Abar and A_zz inside 1/sqrt(b) keeps the
-operator nonsingular.  A fixed-point sweep from P_z = 0 is available both as
-a cross-check and as a fallback for models too large to vectorize.
+Smith doubling (Smith, 1968) solves it: from X_0 = Q_yz + b Abar' P_y A_yz,
+M_0 = sqrt(b) Abar' and N_0 = sqrt(b) A_zz, the step
+X_{k+1} = X_k + M_k X_k N_k, M_{k+1} = M_k^2, N_{k+1} = N_k^2 sums 2^k terms
+of sum_j M_0^j X_0 N_0^j, which converges since Abar and A_zz lie inside
+1/sqrt(b); ``iterations`` counts the doubling steps.
 """
 
 from __future__ import annotations
@@ -30,14 +28,15 @@ from .errors import DivergenceError
 from .model import ModelSpec, symmetrize
 from .regulator import BLOWUP, MAX_ITER, RegulatorSolution
 
-METHODS = ("vectorized", "fixed-point")
-
 
 @dataclass(frozen=True, eq=False)
 class AugmentedSolution:
+    """Cross value matrix P_z and feedforward gain F_z; ``residual`` is the
+    Stein residual ||P_z - Q_yz - b Abar' (P_y A_yz + P_z A_zz)||_inf."""
+
     P_z: np.ndarray
     F_z: np.ndarray
-    method: str
+    iterations: int
     residual: float
 
 
@@ -53,63 +52,57 @@ def _sylvester_residual(spec, reg, abar, p_z):
 def solve_sylvester(
     spec: ModelSpec,
     reg: RegulatorSolution,
-    method: str = "vectorized",
     tol: float = 1e-12,
     max_iter: int = MAX_ITER,
 ) -> AugmentedSolution:
-    """Solve for P_z and the feedforward gain F_z.
+    """Solve for P_z and the feedforward gain F_z by Smith doubling.
 
-    ``method`` selects the exact vectorized solve (default) or the fixed-point
-    sweep; both must agree to solver precision.  With n_z = 0 the forcing
-    terms vanish and empty matrices are returned.
+    Stops when ||X_{k+1} - X_k||_inf <= tol * (1 + ||X_{k+1}||_inf) and
+    raises :class:`DivergenceError` when the doubling explodes or exhausts
+    ``max_iter`` steps.  With n_z = 0 the forcing terms vanish and empty
+    matrices are returned.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     dims = spec.dims
     if dims.n_z == 0:
         return AugmentedSolution(
             P_z=np.zeros((dims.n_y, 0)),
             F_z=np.zeros((dims.n_u, 0)),
-            method=method,
+            iterations=0,
             residual=0.0,
         )
 
     abar = spec.A_yy + spec.B_y @ reg.F_y
-    constant = spec.Q_yz + spec.beta * (abar.T @ reg.P_y @ spec.A_yz)
-
-    if method == "vectorized":
-        n = dims.n_y * dims.n_z
-        operator = np.eye(n) - spec.beta * kernel.kron(spec.A_zz.T, abar.T)
-        p_z = kernel.unvec(
-            kernel.solve_linear(operator, kernel.vec(constant)), dims.n_y, dims.n_z
-        )
-    else:
-        p_z = np.zeros((dims.n_y, dims.n_z))
-        diff = math.inf
-        for iteration in range(1, max_iter + 1):
-            p_next = constant + spec.beta * (abar.T @ p_z @ spec.A_zz)
-            diff = kernel.inf_norm(p_next - p_z)
-            scale = kernel.inf_norm(p_next)
-            if not math.isfinite(diff) or scale > BLOWUP:
-                raise DivergenceError(
-                    f"Sylvester iteration diverged at iteration {iteration}",
-                    residual=diff,
-                )
-            p_z = p_next
-            if diff <= tol * (1.0 + scale):
-                break
-        else:
+    root = math.sqrt(spec.beta)
+    p_z = spec.Q_yz + spec.beta * (abar.T @ reg.P_y @ spec.A_yz)
+    m_k = root * abar.T
+    n_k = root * spec.A_zz
+    diff = math.inf
+    for iteration in range(1, max_iter + 1):
+        step = m_k @ p_z @ n_k
+        p_next = p_z + step
+        diff = kernel.inf_norm(step)
+        scale = kernel.inf_norm(p_next)
+        if not math.isfinite(diff) or scale > BLOWUP:
             raise DivergenceError(
-                f"Sylvester iteration did not converge within {max_iter} iterations",
+                f"Sylvester iteration diverged at iteration {iteration}",
                 residual=diff,
             )
+        p_z = p_next
+        if diff <= tol * (1.0 + scale):
+            break
+        m_k = m_k @ m_k
+        n_k = n_k @ n_k
+    else:
+        raise DivergenceError(
+            f"Sylvester iteration did not converge within {max_iter} iterations",
+            residual=diff,
+        )
 
     residual = _sylvester_residual(spec, reg, abar, p_z)
     f_z = feedforward_gain(spec, reg, p_z)
-    p_z = p_z.copy()
     p_z.flags.writeable = False
     f_z.flags.writeable = False
-    return AugmentedSolution(P_z=p_z, F_z=f_z, method=method, residual=residual)
+    return AugmentedSolution(P_z=p_z, F_z=f_z, iterations=iteration, residual=residual)
 
 
 def feedforward_gain(

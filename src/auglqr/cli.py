@@ -272,7 +272,7 @@ def _dispatch(args, at) -> tuple[str, int]:
             "riccati_residual": reg.residual,
             "riccati_iterations": reg.iterations,
             "sylvester_residual": aug.residual,
-            "sylvester_method": aug.method,
+            "sylvester_iterations": aug.iterations,
         }
         return _render_report(body, args.format), EXIT_OK
 

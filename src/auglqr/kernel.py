@@ -1,10 +1,8 @@
 """Dense linear-algebra primitives shared by every solver module.
 
-All operations work on 2-D float64 numpy arrays.  ``vec``/``unvec`` use the
-column-stacking convention, so vec(A @ X @ B) == kron(B.T, A) @ vec(X); the
-Sylvester vectorization in :mod:`auglqr.augmented` relies on exactly this
-identity.  Eigenvalues, ranks and solves delegate to LAPACK-backed routines;
-the matrix-equation logic built on top of them lives in the solver modules.
+All operations work on 2-D float64 numpy arrays.  Eigenvalues, ranks and
+solves delegate to LAPACK-backed routines; the matrix-equation logic built on
+top of them (the Riccati and Stein doublings) lives in the solver modules.
 """
 
 from __future__ import annotations
@@ -101,19 +99,3 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         x = scipy.linalg.lu_solve((lu, piv), rhs)
     return x if b.ndim == 2 else x[:, 0]
 
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product: block (i, j) equals a[i, j] * b."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    return np.kron(a, b)
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(m, dtype=float).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    return np.asarray(v, dtype=float).reshape((rows, cols), order="F")

@@ -2,14 +2,22 @@
 
 The whole endogenous block y is treated as if it were a state (the
 forward-looking part gets its date-0 value later, from the anchoring step)
-and the fixed point of
+and P_y is the stabilizing fixed point of
 
     P = Q_yy + b A' P A - b^2 A' P B (R + b B' P B)^{-1} B' P A,   b = beta,
 
-is found by iterating from P0 = Q_yy.  The gain is defined with the sign
-convention F_y = -(R + b B' P B)^{-1} b B' P A, so the optimal rule reads
-u_t = F_y y_t and A + B F_y is the stable closed loop that every later step
-(Sylvester equation, simulation, change of basis) builds on.
+found by structure-preserving doubling (Chu, Fan & Lin, 2005): from
+A_0 = sqrt(b) A, G_0 = b B R^{-1} B', H_0 = Q_yy and with W = I + G_k H_k,
+
+    A_{k+1} = A_k W^{-1} A_k,   G_{k+1} = G_k + A_k W^{-1} G_k A_k',
+    H_{k+1} = H_k + A_k' H_k W^{-1} A_k,
+
+H_k equals 2^k - 1 steps of the Riccati map from Q_yy (a 2^k-period
+horizon), so it converges quadratically in the doubling steps that
+``iterations`` counts.  The gain is defined with the sign convention
+F_y = -(R + b B' P B)^{-1} b B' P A, so the optimal rule reads u_t = F_y y_t
+and A + B F_y is the stable closed loop that every later step (Sylvester
+equation, simulation, change of basis) builds on.
 
 Certainty equivalence holds: nothing here reads k0, z0 or any shock process,
 so P_y and F_y are bit-identical across initial conditions.
@@ -27,7 +35,8 @@ from .errors import DivergenceError, InstabilityError
 from .model import ModelSpec, symmetrize
 
 DEFAULT_TOL = 1e-12
-MAX_ITER = 1_000_000
+#: cap on doubling steps; step k covers 2^k periods of the plain recursion
+MAX_ITER = 100
 #: iterate magnitude treated as divergence (explosive uncontrolled dynamics)
 BLOWUP = 1e100
 #: the closed loop must clear 1/sqrt(beta) by at least this margin
@@ -36,7 +45,8 @@ STABILITY_MARGIN = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class RegulatorSolution:
-    """Riccati fixed point P_y (symmetric PSD) and feedback gain F_y."""
+    """Riccati fixed point P_y (symmetric PSD) and feedback gain F_y; the
+    ``residual`` is ||riccati_rhs(P_y) - P_y||_inf."""
 
     P_y: np.ndarray
     F_y: np.ndarray
@@ -65,36 +75,36 @@ def solve_riccati(
     tol: float = DEFAULT_TOL,
     max_iter: int = MAX_ITER,
 ) -> RegulatorSolution:
-    """Iterate the Riccati map from P0 = Q_yy until the fixed point.
+    """Solve for the stabilizing fixed point by structure-preserving doubling.
 
-    Stops when ||P_{n+1} - P_n||_inf <= tol * (1 + ||P_{n+1}||_inf).  Raises
-    :class:`DivergenceError` (carrying the last step size) when the iteration
-    explodes or exhausts ``max_iter``, and :class:`InstabilityError` when the
-    converged gain fails the closed-loop spectral-radius margin.
+    Stops when ||H_{k+1} - H_k||_inf <= tol * (1 + ||H_{k+1}||_inf).  Raises
+    :class:`DivergenceError` (carrying the last step size) when the doubling
+    explodes, exhausts ``max_iter`` steps or returns a matrix that is not
+    positive semidefinite, and :class:`InstabilityError` when the converged
+    gain fails the closed-loop spectral-radius margin.
     """
-    p = symmetrize(spec.Q_yy)
+    root = math.sqrt(spec.beta)
+    b = root * spec.B_y
+    a_k = root * spec.A_yy
+    g_k = symmetrize(b @ kernel.solve_linear(symmetrize(spec.R), b.T))
+    h_k = symmetrize(spec.Q_yy)
     diff = math.inf
     for iteration in range(1, max_iter + 1):
-        p_next = riccati_rhs(p, spec)
-        diff = kernel.inf_norm(p_next - p)
-        scale = kernel.inf_norm(p_next)
+        # one factorization of W serves W^{-1} A_k and W^{-1} G_k
+        w_inv = kernel.solve_linear(np.eye(len(a_k)) + g_k @ h_k, np.hstack([a_k, g_k]))
+        w_inv_a, w_inv_g = np.hsplit(w_inv, [a_k.shape[1]])
+        h_next = symmetrize(h_k + a_k.T @ h_k @ w_inv_a)
+        g_k = symmetrize(g_k + a_k @ w_inv_g @ a_k.T)
+        a_k = a_k @ w_inv_a
+        diff = kernel.inf_norm(h_next - h_k)
+        scale = kernel.inf_norm(h_next)
         if not math.isfinite(diff) or scale > BLOWUP:
             raise DivergenceError(
                 f"Riccati iteration diverged at iteration {iteration}"
                 f" (step {diff:.3e})",
                 residual=diff,
             )
-        p = p_next
-        if iteration % 100 == 0:
-            # the map preserves symmetry exactly and PSD up to roundoff;
-            # losing either signals numerical breakdown, not slow convergence
-            floor = -1e-10 * max(1.0, scale)
-            if np.linalg.eigvalsh(p).min() < floor:
-                raise DivergenceError(
-                    f"Riccati iterate lost positive semidefiniteness"
-                    f" at iteration {iteration}",
-                    residual=diff,
-                )
+        h_k = h_next
         if diff <= tol * (1.0 + scale):
             break
     else:
@@ -104,7 +114,15 @@ def solve_riccati(
             residual=diff,
         )
 
-    f = _feedback_gain(spec, p)
+    # H_k is symmetric by construction and PSD up to roundoff; losing
+    # definiteness signals numerical breakdown, not slow convergence
+    if np.linalg.eigvalsh(h_k).min() < -1e-10 * max(1.0, scale):
+        raise DivergenceError(
+            f"Riccati solution lost positive semidefiniteness"
+            f" after {iteration} iterations",
+            residual=diff,
+        )
+    f = _feedback_gain(spec, h_k)
     radius = kernel.spectral_radius(spec.A_yy + spec.B_y @ f)
     limit = 1.0 / math.sqrt(spec.beta) - STABILITY_MARGIN
     if radius >= limit:
@@ -112,7 +130,7 @@ def solve_riccati(
             f"closed loop not stabilizing: spectral radius {radius:.12g}"
             f" >= {limit:.12g}"
         )
-    p_out = p.copy()
-    p_out.flags.writeable = False
+    residual = kernel.inf_norm(riccati_rhs(h_k, spec) - h_k)
+    h_k.flags.writeable = False
     f.flags.writeable = False
-    return RegulatorSolution(P_y=p_out, F_y=f, iterations=iteration, residual=diff)
+    return RegulatorSolution(P_y=h_k, F_y=f, iterations=iteration, residual=residual)

@@ -29,6 +29,14 @@ GOLDEN_LOSS = 0.3890614233341745
 BACK_P_Y = 1.4816428935663887
 BACK_F_Y = -0.5351587706293208
 
+#: weakly controlled scalar models, (a, b, q, beta) with r = 1: the plain
+#: Riccati recursion needs about 1e3, 1e4 and 2e5 steps on them
+HARD_CASES = {
+    "hard1": (1.0, 0.01, 1.0, 0.99),
+    "hard2": (1.0, 1e-3, 1.0, 0.9999),
+    "hard3": (1.005, 1e-3, 1e-6, 0.99),
+}
+
 
 def load_fixture(name: str) -> ModelSpec:
     return load_model((MODELS_DIR / name).read_text(encoding="utf-8"))
@@ -82,6 +90,44 @@ def scalar_spec(
         k0=[] if forward else [k0],
         z0=[z0] if has_z else [],
     )
+
+
+def single_input_model(rng: np.random.Generator, n_y: int) -> ModelSpec:
+    """Large single-input model: A_yy at spectral radius 0.97, B_y one dense column.
+
+    The Riccati solver stabilizes it, though its Kalman matrix [B, AB, ...]
+    is numerically rank deficient.
+    """
+    a_yy = rng.normal(size=(n_y, n_y))
+    a_yy *= 0.97 / np.max(np.abs(np.linalg.eigvals(a_yy)))
+    return ModelSpec(
+        dims=Dims(n_k=n_y, n_x=0, n_z=1, n_u=1),
+        beta=0.95,
+        A_yy=a_yy,
+        A_yz=rng.normal(size=(n_y, 1)),
+        A_zz=[[0.5]],
+        B_y=rng.normal(size=(n_y, 1)),
+        Q_yy=np.eye(n_y),
+        Q_yz=np.zeros((n_y, 1)),
+        R=[[1.0]],
+        k0=rng.normal(size=n_y),
+        z0=[1.0],
+    )
+
+
+def dense_stein_solution(spec: ModelSpec, reg) -> np.ndarray:
+    """P_z from the dense Kronecker form of the Stein equation.
+
+    Column-stacking vec turns P = C + b Abar' P A_zz into
+    (I - b kron(A_zz', Abar')) vec(P) = vec(C), solved here directly; an
+    O((n_y n_z)^3) reference independent of the solver's doubling.
+    """
+    n_y, n_z = spec.dims.n_y, spec.dims.n_z
+    abar = spec.A_yy + spec.B_y @ reg.F_y
+    operator = np.eye(n_y * n_z) - spec.beta * np.kron(spec.A_zz.T, abar.T)
+    constant = spec.Q_yz + spec.beta * (abar.T @ reg.P_y @ spec.A_yz)
+    solution = np.linalg.solve(operator, constant.reshape(-1, order="F"))
+    return solution.reshape((n_y, n_z), order="F")
 
 
 def random_stabilizable_model(

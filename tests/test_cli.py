@@ -103,7 +103,7 @@ class TestSolveCommand:
         assert report["P_y"] == [[1.61803398875]]
         assert report["riccati_residual"] <= 1e-11
         assert report["sylvester_residual"] <= 1e-11
-        assert report["sylvester_method"] == "vectorized"
+        assert report["sylvester_iterations"] >= 1
         assert report["x0"] == [pytest.approx(-0.47213595500, abs=1e-10)]
 
     def test_csv_format(self, capsys):

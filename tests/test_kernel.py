@@ -1,8 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from auglqr import DimensionError, SingularMatrixError
 from auglqr import kernel
@@ -90,37 +87,6 @@ class TestSolveLinear:
             kernel.solve_linear(np.ones((2, 3)), np.ones((2, 1)))
         with pytest.raises(DimensionError):
             kernel.solve_linear(np.eye(2), np.ones((3, 1)))
-
-
-class TestKron:
-    def test_scalar_left_identity(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(kernel.kron([[1.0]], b), b)
-
-    def test_identity_times_scalar(self):
-        assert np.array_equal(kernel.kron(np.eye(2), [[5.0]]), 5.0 * np.eye(2))
-
-    def test_row_times_column(self):
-        out = kernel.kron([[1.0, 2.0]], [[3.0], [4.0]])
-        assert np.array_equal(out, [[3.0, 6.0], [4.0, 8.0]])
-
-    @settings(deadline=None, max_examples=25)
-    @given(
-        arrays(np.float64, (3, 3), elements=st.floats(-10, 10)),
-        arrays(np.float64, (3, 3), elements=st.floats(-10, 10)),
-        arrays(np.float64, (3, 3), elements=st.floats(-10, 10)),
-    )
-    def test_vec_identity(self, a, x, b):
-        # column-stacking convention: vec(A X B) = kron(B', A) vec(X)
-        lhs = kernel.vec(a @ x @ b)
-        rhs = kernel.kron(b.T, a) @ kernel.vec(x)
-        assert np.allclose(lhs, rhs, atol=1e-9)
-
-
-def test_vec_unvec_roundtrip():
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(3, 5))
-    assert np.array_equal(kernel.unvec(kernel.vec(m), 3, 5), m)
 
 
 def test_inf_norm():

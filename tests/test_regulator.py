@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -14,11 +15,21 @@ from _support import (
     BACK_P_Y,
     GOLDEN_F_Y,
     GOLDEN_P_Y,
+    HARD_CASES,
     load_fixture,
     random_stabilizable_model,
     scalar_riccati_root,
     scalar_spec,
+    single_input_model,
 )
+
+
+def _adversarial_model(name):
+    if name in HARD_CASES:
+        a, b, q, beta = HARD_CASES[name]
+        return scalar_spec(beta=beta, a=a, b=b, q=q)
+    n_y = int(name.removeprefix("single-input-"))
+    return single_input_model(np.random.default_rng(n_y), n_y)
 
 
 class TestRiccatiRhs:
@@ -52,6 +63,7 @@ class TestSolveRiccati:
         assert reg.P_y[0, 0] == pytest.approx(GOLDEN_P_Y, abs=1e-9)
         assert reg.F_y[0, 0] == pytest.approx(GOLDEN_F_Y, abs=1e-9)
         assert reg.residual <= 1e-12 * (1.0 + inf_norm(reg.P_y))
+        assert reg.residual == inf_norm(riccati_rhs(reg.P_y, golden_spec) - reg.P_y)
         assert reg.iterations >= 1
 
     def test_zero_transition(self):
@@ -129,6 +141,29 @@ class TestSolveRiccati:
             s * model.A_yy, s * model.B_y, symmetrize(model.Q_yy), symmetrize(model.R)
         )
         assert inf_norm(reg.P_y - p_ref) <= 1e-8 * (1.0 + inf_norm(p_ref))
+
+    @pytest.mark.parametrize(
+        "name", [*HARD_CASES, "single-input-60", "single-input-100"]
+    )
+    def test_adversarial_models_match_dare_in_few_steps(self, name):
+        spec = _adversarial_model(name)
+        reg = solve_riccati(spec)
+        assert reg.iterations <= 40
+        s = math.sqrt(spec.beta)
+        p_ref = scipy.linalg.solve_discrete_are(
+            s * spec.A_yy, s * spec.B_y, symmetrize(spec.Q_yy), symmetrize(spec.R)
+        )
+        assert inf_norm(reg.P_y - p_ref) <= 1e-10 * inf_norm(p_ref)
+
+    def test_marginal_uncontrolled_mode_fails_fast(self):
+        # B = 0 and sqrt(beta) a = 1: the value grows without bound, one
+        # doubling of the horizon per step, and never blows up to BLOWUP
+        beta = 0.9
+        spec = scalar_spec(beta=beta, a=1.0 / math.sqrt(beta), b=0.0)
+        start = time.perf_counter()
+        with pytest.raises(DivergenceError, match="did not converge"):
+            solve_riccati(spec)
+        assert time.perf_counter() - start < 1.0
 
     def test_divergence_reported(self):
         spec = load_fixture("uncontrollable.json")  # B = 0, |A| > 1
