@@ -1,7 +1,8 @@
 """Ramsey optimal policy via the discounted augmented linear-quadratic regulator.
 
-The pipeline, in order: validate and sqrt(beta)-rescale a model, screen it for
-stabilizability, solve the Riccati equation for the feedback gain, solve the
+The pipeline, in order: validate a model, screen it for stabilizability (a
+PBH test of the modes on or outside 1/sqrt(beta), and a stable forcing
+block), solve the Riccati equation for the feedback gain, solve the
 Sylvester equation for the feedforward gain on exogenous forcing variables,
 anchor the forward-looking variables at date 0 through the zero-multiplier
 condition, simulate the closed loop (paths, impulse responses, discounted
@@ -12,7 +13,7 @@ independent finite-horizon route for verification.
 
 from .anchor import AnchoredState, anchor_x0
 from .augmented import AugmentedSolution, feedforward_gain, solve_sylvester
-from .checks import CheckReport, controllability_matrix, run_checks
+from .checks import CheckReport, run_checks
 from .errors import (
     AugLQRError,
     DimensionError,
@@ -25,7 +26,6 @@ from .errors import (
 from .model import (
     Dims,
     ModelSpec,
-    ScaledModel,
     ValidationReport,
     load_model,
     rescale,
@@ -55,7 +55,6 @@ __all__ = [
     "ModelFormatError",
     "ModelSpec",
     "RegulatorSolution",
-    "ScaledModel",
     "SingularMatrixError",
     "Trajectory",
     "ValidationReport",
@@ -63,7 +62,6 @@ __all__ = [
     "anchor_x0",
     "backward_induction",
     "build_closed_loop",
-    "controllability_matrix",
     "feedforward_gain",
     "grid_search_x0",
     "irf",

@@ -1,11 +1,13 @@
 """Stabilizability screening run before the solvers.
 
-Two gates: the staircase controllability matrix of the scaled (A_yy, B_y)
-pair must have full rank n_y, and every eigenvalue of the forcing block A_zz
-must lie strictly inside the circle of radius 1/sqrt(beta).  The second gate
-is non-negotiable (explosive forcing makes the discounted loss unbounded);
-the first may be overridden downstream by a --force flag since stabilizable
-systems can fail the full-rank test.
+Two gates, both stated on the unscaled matrices against the threshold
+1/sqrt(beta).  The first is a PBH (Hautus) test: every eigenvalue lambda of
+A_yy with |lambda| >= 1/sqrt(beta) must have rank [A_yy - lambda I, B_y] = n_y,
+which is exactly stabilizability of the discounted pair (sqrt(beta) A_yy,
+sqrt(beta) B_y) that the Riccati solver needs.  The second requires every
+eigenvalue of the forcing block A_zz to lie strictly inside that circle.  The
+second gate is non-negotiable (explosive forcing makes the discounted loss
+unbounded); the first may be overridden downstream by a --force flag.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .model import ScaledModel
+from .model import ModelSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,30 +52,23 @@ class CheckReport:
         return out
 
 
-def controllability_matrix(scaled: ScaledModel) -> np.ndarray:
-    """Staircase blocks [B, A B, ..., A^(n_y-1) B] of the scaled pair.
+def run_checks(spec: ModelSpec) -> CheckReport:
+    """Evaluate both stabilizability gates on a validated model.
 
-    Equals [sqrt(b) B_y, b A_yy B_y, b^(3/2) A_yy^2 B_y, ...] in terms of the
-    unscaled matrices with b = beta.
+    The reported controllability rank is the smallest PBH rank over the
+    modes on or outside 1/sqrt(beta), or n_y when there are none.  Real
+    matrices give the same rank at lambda and at conj(lambda), so only the
+    eigenvalues with Im lambda >= 0 are tested.
     """
-    a, b = scaled.A_yy, scaled.B_y
-    blocks = []
-    block = b
-    for _ in range(scaled.dims.n_y):
-        blocks.append(block)
-        block = a @ block
-    return np.hstack(blocks)
-
-
-def run_checks(scaled: ScaledModel) -> CheckReport:
-    """Evaluate both stabilizability gates on a rescaled model."""
-    n_y = scaled.dims.n_y
-    ctrb_rank = kernel.rank(controllability_matrix(scaled))
-    # the criterion is stated on the unscaled A_zz against 1/sqrt(beta);
-    # testing the scaled matrix against 1 would be algebraically identical
-    eig_zz = kernel.eigenvalues(scaled.spec.A_zz)
+    n_y = spec.dims.n_y
+    threshold = 1.0 / math.sqrt(spec.beta)
+    ctrb_rank = n_y
+    for lam in kernel.eigenvalues(spec.A_yy):
+        if abs(lam) >= threshold and lam.imag >= 0.0:
+            pencil = np.hstack([spec.A_yy - lam * np.eye(n_y), spec.B_y])
+            ctrb_rank = min(ctrb_rank, kernel.rank(pencil))
+    eig_zz = kernel.eigenvalues(spec.A_zz)
     radius = float(np.max(np.abs(eig_zz))) if eig_zz.size else 0.0
-    threshold = 1.0 / math.sqrt(scaled.beta)
     return CheckReport(
         controllable=ctrb_rank == n_y,
         controllability_rank=ctrb_rank,

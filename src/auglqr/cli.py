@@ -27,7 +27,7 @@ from .errors import (
     ModelFormatError,
     SingularMatrixError,
 )
-from .model import load_model, rescale, validate, variable_names
+from .model import load_model, validate, variable_names
 from .oracle import backward_induction
 from .regulator import DEFAULT_TOL, solve_riccati
 from .simulate import build_closed_loop, irf, simulate_path
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         return cmd
 
     add_command("validate", "report model invariant violations")
-    add_command("check", "run the controllability and forcing-stability gates")
+    add_command("check", "run the stabilizability and forcing-stability gates")
     for name, help_text in (
         ("solve", "value matrices, gains and the anchored x0"),
         ("simulate", "closed-loop path from the model's initial conditions"),
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--force",
             action="store_true",
-            help="downgrade a failed controllability check to a warning",
+            help="downgrade a failed stabilizability check to a warning",
         )
         if name in ("simulate", "irf", "oracle-compare"):
             cmd.add_argument("--horizon", type=int, default=500, metavar="T")
@@ -234,8 +234,7 @@ def _dispatch(args, at) -> tuple[str, int]:
         ), EXIT_REJECTED
 
     at("checks")
-    scaled = rescale(spec)
-    check = run_checks(scaled)
+    check = run_checks(spec)
     if args.command == "check":
         return _render_report(_check_report_dict(check), args.format), (
             EXIT_OK if check.ok else EXIT_REJECTED

@@ -1,8 +1,9 @@
 """Dense linear-algebra primitives shared by every solver module.
 
-All operations work on 2-D float64 numpy arrays.  Eigenvalues, ranks and
-solves delegate to LAPACK-backed routines; the matrix-equation logic built on
-top of them (the Riccati and Stein doublings) lives in the solver modules.
+All operations work on 2-D float64 numpy arrays; ``rank`` also takes complex
+ones.  Eigenvalues, ranks and solves delegate to LAPACK-backed routines; the
+matrix-equation logic built on top of them (the Riccati and Stein doublings)
+lives in the solver modules.
 """
 
 from __future__ import annotations
@@ -47,8 +48,11 @@ def spectral_radius(m: np.ndarray) -> float:
 
 
 def rank(m: np.ndarray, tol: float = RANK_RTOL) -> int:
-    """Numerical rank: singular values above tol * max(rows, cols) * sigma_max."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
+    """Numerical rank: singular values above tol * max(rows, cols) * sigma_max.
+
+    Complex input keeps its imaginary part (the PBH gate passes A - lambda I).
+    """
+    m = np.atleast_2d(np.asarray(m))
     if m.size == 0:
         return 0
     if tol < 0:

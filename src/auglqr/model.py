@@ -1,7 +1,7 @@
-"""Problem instances: definition, validation, JSON ingestion, discount rescaling.
+"""Problem instances: definition, validation, JSON ingestion.
 
 A model collects the quadratic loss weights (Q_yy, Q_yz, R), the transition
-blocks of the staircase system
+blocks of the block-triangular system
 
     [y_{t+1}]   [A_yy  A_yz] [y_t]   [B_y]
     [z_{t+1}] = [  0   A_zz] [z_t] + [ 0 ] u_t,
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernel
 from .errors import InvalidModelError, ModelFormatError
 
 #: entrywise tolerance for the symmetry checks on Q_yy and R
@@ -200,7 +201,7 @@ def validate(spec: ModelSpec) -> ValidationReport:
         q = clean["Q_yy"]
         if _check_symmetric("Q_yy", q, out):
             eigs = np.linalg.eigvalsh(symmetrize(q))
-            floor = -1e-10 * max(1.0, _mat_inf_norm(q))
+            floor = -1e-10 * max(1.0, kernel.inf_norm(q))
             if eigs.size and eigs[0] < floor:
                 out.append(
                     f"Q_yy not positive semi-definite:"
@@ -216,67 +217,12 @@ def validate(spec: ModelSpec) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def _mat_inf_norm(m: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(m), axis=1))) if m.size else 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class ScaledModel:
-    """Transition blocks multiplied by sqrt(beta); loss weights untouched.
-
-    Running an undiscounted solve on these matrices is equivalent to the
-    discounted solve on the originals, which is how the stability criterion
-    |lambda| < 1/sqrt(beta) reduces to the unit circle.
-    """
-
-    spec: ModelSpec
-    A_yy: np.ndarray
-    A_yz: np.ndarray
-    A_zz: np.ndarray
-    B_y: np.ndarray
-
-    @property
-    def dims(self) -> Dims:
-        return self.spec.dims
-
-    @property
-    def beta(self) -> float:
-        return self.spec.beta
-
-    @property
-    def Q_yy(self) -> np.ndarray:
-        return self.spec.Q_yy
-
-    @property
-    def Q_yz(self) -> np.ndarray:
-        return self.spec.Q_yz
-
-    @property
-    def R(self) -> np.ndarray:
-        return self.spec.R
-
-    @property
-    def k0(self) -> np.ndarray:
-        return self.spec.k0
-
-    @property
-    def z0(self) -> np.ndarray:
-        return self.spec.z0
-
-
-def rescale(spec: ModelSpec) -> ScaledModel:
-    """Multiply A_yy, A_yz, A_zz, B_y by sqrt(beta); reject invalid specs."""
+def rescale(spec: ModelSpec) -> ModelSpec:
+    """Return the spec unchanged if it is valid; raise InvalidModelError otherwise."""
     report = validate(spec)
     if not report.is_valid:
         raise InvalidModelError(report)
-    s = math.sqrt(spec.beta)
-    return ScaledModel(
-        spec=spec,
-        A_yy=_freeze(s * spec.A_yy),
-        A_yz=_freeze(s * spec.A_yz),
-        A_zz=_freeze(s * spec.A_zz),
-        B_y=_freeze(s * spec.B_y),
-    )
+    return spec
 
 
 def variable_names(spec: ModelSpec) -> dict[str, list[str]]:

@@ -14,7 +14,6 @@ from auglqr import (
     backward_induction,
     build_closed_loop,
     grid_search_x0,
-    rescale,
     riccati_rhs,
     run_checks,
     simulate_path,
@@ -156,10 +155,10 @@ def test_criterion_6_stability(solved_suite):
             failures.append(f"{name}: sqrt(beta)*rho(A+BF) = {rho_cl:.6f} >= 1")
         if rho_zz >= 1.0:
             failures.append(f"{name}: sqrt(beta)*rho(A_zz) = {rho_zz:.6f} >= 1")
-    uncontrollable = run_checks(rescale(load_fixture("uncontrollable.json")))
+    uncontrollable = run_checks(load_fixture("uncontrollable.json"))
     if uncontrollable.controllable:
         failures.append("uncontrollable fixture (B_y = 0) not rejected")
-    explosive = run_checks(rescale(load_fixture("explosive_forcing.json")))
+    explosive = run_checks(load_fixture("explosive_forcing.json"))
     if explosive.forcing_stable:
         failures.append("explosive-forcing fixture (beta=0.81, A_zz=1.2) not rejected")
     _report(6, "closed-loop and forcing radii inside 1/sqrt(beta); bad fixtures rejected",

@@ -50,6 +50,12 @@ class TestRank:
             m = rng.normal(size=(4, cols))
             assert kernel.rank(m) == kernel.rank(m.T)
 
+    def test_complex_input_keeps_imaginary_part(self):
+        # rows that are complex multiples of each other: rank 1
+        assert kernel.rank([[1.0, 1j], [1j, -1.0]]) == 1
+        assert kernel.rank([[1.0, 1j], [-1j, 1.0]]) == 1
+        assert kernel.rank([[1.0, 1j], [1j, 1.0]]) == 2
+
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             kernel.rank(np.eye(2), tol=-1e-3)

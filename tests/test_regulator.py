@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from auglqr import DivergenceError, riccati_rhs, solve_riccati
+from auglqr import DivergenceError, riccati_rhs, run_checks, solve_riccati
 from auglqr.kernel import inf_norm, spectral_radius
 from auglqr.model import symmetrize
 
@@ -28,8 +28,10 @@ def _adversarial_model(name):
     if name in HARD_CASES:
         a, b, q, beta = HARD_CASES[name]
         return scalar_spec(beta=beta, a=a, b=b, q=q)
-    n_y = int(name.removeprefix("single-input-"))
-    return single_input_model(np.random.default_rng(n_y), n_y)
+    # "single-input-<n_y>" or "single-input-<n_y>@<spectral radius of A_yy>"
+    size, _, radius = name.removeprefix("single-input-").partition("@")
+    n_y = int(size)
+    return single_input_model(np.random.default_rng(n_y), n_y, float(radius or 0.97))
 
 
 class TestRiccatiRhs:
@@ -143,10 +145,18 @@ class TestSolveRiccati:
         assert inf_norm(reg.P_y - p_ref) <= 1e-8 * (1.0 + inf_norm(p_ref))
 
     @pytest.mark.parametrize(
-        "name", [*HARD_CASES, "single-input-60", "single-input-100"]
+        "name",
+        [
+            *HARD_CASES,
+            "single-input-60",
+            "single-input-100",
+            "single-input-60@1.1",
+            "single-input-100@1.1",
+        ],
     )
     def test_adversarial_models_match_dare_in_few_steps(self, name):
         spec = _adversarial_model(name)
+        assert run_checks(spec).ok
         reg = solve_riccati(spec)
         assert reg.iterations <= 40
         s = math.sqrt(spec.beta)
