@@ -73,4 +73,5 @@ def anchor_x0(
 
     y0 = np.concatenate([k0, x0])
     mu0 = reg.P_y @ y0 + aug.P_z @ z0
+    kernel.read_only(x0, y0, mu0)
     return AnchoredState(x0=x0, y0=y0, mu0=mu0)

@@ -100,8 +100,7 @@ def solve_sylvester(
 
     residual = _sylvester_residual(spec, reg, abar, p_z)
     f_z = feedforward_gain(spec, reg, p_z)
-    p_z.flags.writeable = False
-    f_z.flags.writeable = False
+    kernel.read_only(p_z, f_z)
     return AugmentedSolution(P_z=p_z, F_z=f_z, iterations=iteration, residual=residual)
 
 

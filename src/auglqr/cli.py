@@ -154,24 +154,45 @@ def _flatten(prefix: str, value, out: list[tuple[str, str]]):
         out.append((prefix, _csv_cell(value)))
 
 
+def _csv_field(text: str) -> str:
+    """Quote a CSV field (RFC 4180) only when it holds a comma, quote, CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(_jsonable(report), indent=2) + "\n"
     rows: list[tuple[str, str]] = []
     _flatten("", report, rows)
-    return "key,value\n" + "\n".join(f"{k},{v}" for k, v in rows) + "\n"
+    lines = [f"{_csv_field(k)},{_csv_field(v)}" for k, v in rows]
+    return "key,value\n" + "\n".join(lines) + "\n"
 
 
 def _render_table(columns: list[str], rows: np.ndarray, fmt: str, extra: dict) -> str:
-    if fmt == "json":
-        report = dict(extra)
-        report["columns"] = columns
-        report["rows"] = rows
-        return json.dumps(_jsonable(report), indent=2) + "\n"
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    """Render a path table through one format call over all of its cells.
+
+    A CSV cell prints as ``_csv_cell`` prints the float.  A JSON cell prints
+    as ``_jsonable`` and the json encoder print it: the repr of the value
+    rounded to 12 significant digits, or json's NaN, Infinity, -Infinity.
+    """
+    horizon, width = rows.shape
+    flat = rows.ravel()
+    if fmt == "csv":
+        header = ",".join(_csv_field(c) for c in columns)
+        table = "\n".join([",".join(["{:.12g}"] * width)] * horizon)
+        return header + "\n" + table.format(*flat.tolist()) + "\n"
+
+    cells = [float(f"{v:.12g}") for v in flat.tolist()]
+    for i in np.flatnonzero(~np.isfinite(flat)):
+        cells[i] = json.dumps(cells[i])
+    row = "    [\n      " + ",\n      ".join(["{}"] * width) + "\n    ]"
+    table = ",\n".join([row] * horizon)
+    # json.dumps(indent=2) lays out the rest of the report, with the rows
+    # last; the table replaces the empty row list it ends with
+    head = json.dumps(_jsonable({**extra, "columns": columns, "rows": []}), indent=2)
+    return head[: -len("[]\n}")] + "[\n" + table.format(*cells) + "\n  ]\n}\n"
 
 
 def _trajectory_table(traj, spec):

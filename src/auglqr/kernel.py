@@ -31,6 +31,12 @@ def inf_norm(m: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(m), axis=1)))
 
 
+def read_only(*arrays: np.ndarray) -> None:
+    """Clear the writeable flag of each array; views taken later inherit it."""
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
 def eigenvalues(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a square matrix, with multiplicity, as complex values."""
     m = np.asarray(m, dtype=float)

@@ -131,6 +131,5 @@ def solve_riccati(
             f" >= {limit:.12g}"
         )
     residual = kernel.inf_norm(riccati_rhs(h_k, spec) - h_k)
-    h_k.flags.writeable = False
-    f.flags.writeable = False
+    kernel.read_only(h_k, f)
     return RegulatorSolution(P_y=h_k, F_y=f, iterations=iteration, residual=residual)

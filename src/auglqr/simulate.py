@@ -6,10 +6,12 @@ closed-loop system
     [y_{t+1}]   [A_yy + B_y F_y   A_yz + B_y F_z] [y_t]   [0  ]
     [z_{t+1}] = [      0               A_zz     ] [z_t] + [I_z] e_t,
 
-simulated forward from the anchored initial state.  Paths of u and of the
-multipliers mu are recovered pointwise from the gains and value matrices, and
-the discounted quadratic loss is accumulated alongside (reported as the
-positive quantity L = (1/2) sum beta^t [...], so smaller is better).
+simulated forward from the anchored initial state.  Only that state
+recursion runs period by period; the paths of u and of the multipliers mu
+then follow from the gains and value matrices, and the per-period quadratic
+terms from the loss weights, each in one matrix product over the whole path.
+The discounted loss is reported as the positive quantity
+L = (1/2) sum beta^t [...], so smaller is better.
 
 Certainty equivalence makes the deterministic recursion sufficient: expected
 paths after a shock coincide with the noiseless simulation, so impulse
@@ -83,7 +85,25 @@ def build_closed_loop(
     loading = np.zeros((n_y + n_z, n_z))
     loading[n_y:, :] = np.eye(n_z)
     state0 = np.concatenate([anchored.y0, spec.z0])
+    kernel.read_only(t_cl, loading, state0)
     return ClosedLoopSystem(T_cl=t_cl, impulse_loading=loading, state0=state0)
+
+
+def state_path(
+    transition: np.ndarray,
+    start: np.ndarray,
+    horizon: int,
+    drive: np.ndarray | None = None,
+) -> np.ndarray:
+    """Rows s_0 .. s_{horizon-1} of s_{t+1} = transition s_t (+ drive[t])."""
+    states = np.empty((horizon, len(start)))
+    state = np.asarray(start, dtype=float)
+    for t in range(horizon):
+        states[t] = state
+        state = transition @ state
+        if drive is not None:
+            state += drive[t]
+    return states
 
 
 def simulate_path(
@@ -102,44 +122,36 @@ def simulate_path(
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    n_y, n_z, n_u = spec.dims.n_y, spec.dims.n_z, spec.dims.n_u
+    n_y, n_z = spec.dims.n_y, spec.dims.n_z
+    drive = None
     if shocks is not None:
         shocks = np.asarray(shocks, dtype=float)
         if shocks.shape != (horizon, n_z):
             raise ValueError(
                 f"shocks must have shape {(horizon, n_z)}, got {shocks.shape}"
             )
+        drive = shocks @ sys.impulse_loading.T
 
-    y = np.empty((horizon, n_y))
-    z = np.empty((horizon, n_z))
-    u = np.empty((horizon, n_u))
-    mu = np.empty((horizon, n_y))
-
-    state = sys.state0.astype(float).copy()
-    loss = 0.0
-    peak_quad = 0.0
-    discount = 1.0
-    # the isfinite guard below owns overflow handling
+    # the isfinite scan below owns overflow handling
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(horizon):
-            if not np.all(np.isfinite(state)):
-                raise DivergenceError(f"simulated state overflowed at t = {t}")
-            yt = state[:n_y]
-            zt = state[n_y:]
-            ut = reg.F_y @ yt + aug.F_z @ zt
-            y[t] = yt
-            z[t] = zt
-            u[t] = ut
-            mu[t] = reg.P_y @ yt + aug.P_z @ zt
-            quad = float(
-                yt @ spec.Q_yy @ yt + 2.0 * (yt @ spec.Q_yz @ zt) + ut @ spec.R @ ut
+        states = state_path(sys.T_cl, sys.state0, horizon, drive)
+        overflowed = ~np.isfinite(states).all(axis=1)
+        if overflowed.any():
+            raise DivergenceError(
+                f"simulated state overflowed at t = {int(np.argmax(overflowed))}"
             )
-            loss += 0.5 * discount * quad
-            peak_quad = max(peak_quad, abs(quad))
-            state = sys.T_cl @ state
-            if shocks is not None:
-                state = state + sys.impulse_loading @ shocks[t]
-            discount *= spec.beta
+        kernel.read_only(states)
+        y, z = states[:, :n_y], states[:, n_y:]
+        u = y @ reg.F_y.T + z @ aug.F_z.T
+        mu = y @ reg.P_y.T + z @ aug.P_z.T
+        quad = (
+            np.einsum("ti,ti->t", y @ spec.Q_yy, y)
+            + 2.0 * np.einsum("ti,ti->t", y @ spec.Q_yz, z)
+            + np.einsum("ti,ti->t", u @ spec.R, u)
+        )
+        loss = 0.5 * float(spec.beta ** np.arange(horizon) @ quad)
+    peak_quad = float(np.max(np.abs(quad)))
+    kernel.read_only(u, mu)
 
     # discounted quadratic terms decay like (sqrt(beta) * rho)^(2t)
     rho = math.sqrt(spec.beta) * kernel.spectral_radius(sys.T_cl)
@@ -176,4 +188,5 @@ def irf(
     unit[shock_index] = 1.0
     anchored = anchor_x0(spec, reg, aug, k0=np.zeros(spec.dims.n_k), z0=unit)
     start = np.concatenate([anchored.y0, unit])
+    kernel.read_only(start)
     return simulate_path(replace(sys, state0=start), spec, reg, aug, horizon)

@@ -24,7 +24,7 @@ from .augmented import AugmentedSolution
 from .errors import DimensionError, SingularMatrixError
 from .model import ModelSpec
 from .regulator import RegulatorSolution
-from .simulate import ClosedLoopSystem, simulate_path
+from .simulate import ClosedLoopSystem, simulate_path, state_path
 
 #: refuse to invert F_z beyond this condition number
 COND_LIMIT = 1e12
@@ -72,12 +72,16 @@ def to_var(
     m[n_y:, :n_y] = -fz_inv_fy
     m[n_y:, n_y:] = fz_inv
 
+    t_var = m_inv @ sys.T_cl @ m
+    shock_loading_var = m_inv @ sys.impulse_loading
+    z_from_y = -fz_inv_fy
+    kernel.read_only(t_var, shock_loading_var, m, m_inv, z_from_y, fz_inv)
     return VarRepresentation(
-        T_var=m_inv @ sys.T_cl @ m,
-        shock_loading_var=m_inv @ sys.impulse_loading,
+        T_var=t_var,
+        shock_loading_var=shock_loading_var,
         M=m,
         M_inv=m_inv,
-        z_recovery=(-fz_inv_fy, fz_inv),
+        z_recovery=(z_from_y, fz_inv),
     )
 
 
@@ -98,13 +102,8 @@ def var_simulate_check(
     """
     traj = simulate_path(sys, spec, reg, aug, horizon, shocks)
     observed = np.hstack([traj.y, traj.u])
-
-    state = varrep.M_inv @ sys.state0
-    deviation = 0.0
-    for t in range(horizon):
-        gap = np.max(np.abs(observed[t] - state)) if state.size else 0.0
-        deviation = max(deviation, float(gap))
-        state = varrep.T_var @ state
-        if shocks is not None:
-            state = state + varrep.shock_loading_var @ shocks[t]
-    return deviation
+    drive = None
+    if shocks is not None:
+        drive = np.asarray(shocks, dtype=float) @ varrep.shock_loading_var.T
+    states = state_path(varrep.T_var, varrep.M_inv @ sys.state0, horizon, drive)
+    return float(np.max(np.abs(observed - states), initial=0.0))

@@ -132,6 +132,34 @@ def dense_stein_solution(spec: ModelSpec, reg) -> np.ndarray:
     return solution.reshape((n_y, n_z), order="F")
 
 
+def reference_path(system, spec, reg, aug, horizon, shocks=None):
+    """(y, z, u, mu, loss) from the plain per-period loop of the closed loop.
+
+    Each period reads the state, applies the rule and the multiplier map to
+    it, adds its discounted quadratic term to the loss and steps the state;
+    a reference for the batched simulation.
+    """
+    n_y = spec.dims.n_y
+    state = np.asarray(system.state0, dtype=float)
+    y, z, u, mu = [], [], [], []
+    loss = 0.0
+    discount = 1.0
+    for t in range(horizon):
+        yt, zt = state[:n_y], state[n_y:]
+        ut = reg.F_y @ yt + aug.F_z @ zt
+        y.append(yt)
+        z.append(zt)
+        u.append(ut)
+        mu.append(reg.P_y @ yt + aug.P_z @ zt)
+        quad = yt @ spec.Q_yy @ yt + 2.0 * (yt @ spec.Q_yz @ zt) + ut @ spec.R @ ut
+        loss += 0.5 * discount * float(quad)
+        state = system.T_cl @ state
+        if shocks is not None:
+            state = state + system.impulse_loading @ shocks[t]
+        discount *= spec.beta
+    return np.array(y), np.array(z), np.array(u), np.array(mu), loss
+
+
 def random_stabilizable_model(
     rng: np.random.Generator, n_k: int, n_x: int, n_z: int, n_u: int, beta: float
 ) -> ModelSpec:

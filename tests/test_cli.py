@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -172,6 +174,45 @@ class TestTrajectoryCommands:
     def test_bad_horizon(self, capsys):
         code, out, _ = run(capsys, "simulate", "--model", BACK, "--horizon", "0")
         assert code == 1
+
+
+def parse_csv(text: str) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+class TestCsvQuoting:
+    def test_label_with_comma_keeps_table_rectangular(self, capsys, tmp_path):
+        doc = json.loads((MODELS_DIR / "golden.json").read_text())
+        doc["labels"]["x"] = ["inflation, annual"]
+        path = tmp_path / "labelled.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(
+            capsys, "simulate", "--model", str(path), "--horizon", "3", "--format", "csv"
+        )
+        assert code == 0
+        table = parse_csv(out)
+        assert table[0] == ["t", "inflation, annual", "z", "u", "mu_inflation, annual"]
+        assert out.splitlines()[0] == 't,"inflation, annual",z,u,"mu_inflation, annual"'
+        assert len(table) == 4
+        assert all(len(row) == 5 for row in table)
+
+    def test_report_message_with_comma_is_one_cell(self, capsys, tmp_path):
+        doc = json.loads((MODELS_DIR / "golden.json").read_text())
+        doc["beta"] = 1.5
+        path = tmp_path / "impatient.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "validate", "--model", str(path), "--format", "csv")
+        assert code == 1
+        assert parse_csv(out) == [
+            ["key", "value"],
+            ["valid", "false"],
+            ["violations[0]", "beta must lie in (0, 1], got 1.5"],
+        ]
+
+    def test_plain_cells_stay_unquoted(self, capsys):
+        _, out, _ = run(capsys, "check", "--model", EXPLOSIVE, "--format", "csv")
+        assert '"' not in out
+        assert "failures[0],forcing block unstable: spectral radius 1.2" in out
 
 
 class TestVarCommand:

@@ -1,12 +1,23 @@
 import math
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from auglqr import DivergenceError, riccati_rhs, run_checks, solve_riccati
+from auglqr import (
+    DivergenceError,
+    anchor_x0,
+    build_closed_loop,
+    irf,
+    riccati_rhs,
+    run_checks,
+    simulate_path,
+    solve_riccati,
+    solve_sylvester,
+    to_var,
+)
 from auglqr.kernel import inf_norm, spectral_radius
 from auglqr.model import symmetrize
 
@@ -194,3 +205,23 @@ class TestSolveRiccati:
         reg = solve_riccati(golden_spec)
         assert not reg.P_y.flags.writeable
         assert not reg.F_y.flags.writeable
+        aug = solve_sylvester(golden_spec, reg)
+        anchored = anchor_x0(golden_spec, reg, aug)
+        system = build_closed_loop(golden_spec, reg, aug, anchored)
+        containers = {
+            "AnchoredState": anchored,
+            "ClosedLoopSystem": system,
+            "Trajectory": simulate_path(system, golden_spec, reg, aug, 5, np.ones((5, 1))),
+            "irf Trajectory": irf(system, golden_spec, reg, aug, 5, 0),
+            "VarRepresentation": to_var(golden_spec, reg, aug, system),
+        }
+        for name, container in containers.items():
+            for field in fields(container):
+                value = getattr(container, field.name)
+                for arr in value if isinstance(value, tuple) else (value,):
+                    if not isinstance(arr, np.ndarray):
+                        continue
+                    # the array and every array it is a view of
+                    while isinstance(arr, np.ndarray):
+                        assert not arr.flags.writeable, f"{name}.{field.name}"
+                        arr = arr.base

@@ -23,6 +23,7 @@ from _support import (
     GOLDEN_TCL_YZ,
     GOLDEN_X0,
     random_stabilizable_model,
+    reference_path,
     scalar_spec,
 )
 
@@ -176,8 +177,51 @@ class TestSimulatePath:
             impulse_loading=np.zeros((1, 0)),
             state0=np.array([1e200]),
         )
-        with pytest.raises(DivergenceError, match="overflow"):
+        with pytest.raises(DivergenceError, match=r"overflowed at t = 1$"):
             simulate_path(runaway, spec, reg, aug, 10)
+
+    def test_overflow_reports_first_bad_period(self):
+        # 1, 1e100, 1e200, 1e300 are finite; 1e400 overflows at t = 4
+        spec = scalar_spec(beta=1.0, a=0.5)
+        reg, aug, anchored, _ = full_solve(spec)
+        runaway = ClosedLoopSystem(
+            T_cl=np.array([[1e100]]),
+            impulse_loading=np.zeros((1, 0)),
+            state0=np.array([1.0]),
+        )
+        with pytest.raises(DivergenceError, match=r"overflowed at t = 4$"):
+            simulate_path(runaway, spec, reg, aug, 10)
+
+
+def rel_gap(value, ref) -> float:
+    """max |value - ref| over max |ref|; the raw gap when ref is all zero."""
+    scale = float(np.max(np.abs(ref), initial=0.0))
+    gap = float(np.max(np.abs(value - ref), initial=0.0))
+    return gap / scale if scale > 0 else gap
+
+
+class TestBatchedPathMatchesLoop:
+    """The batched path against the plain per-period loop of tests/_support."""
+
+    @pytest.mark.parametrize("shocked", [False, True], ids=["deterministic", "shocks"])
+    @pytest.mark.parametrize("horizon", [1, 2, 500])
+    @pytest.mark.parametrize(
+        "dims",
+        [(1, 0, 1, 1), (0, 2, 2, 1), (3, 1, 0, 2), (2, 2, 2, 2), (4, 2, 3, 2), (10, 10, 10, 5)],
+        ids=lambda d: "x".join(map(str, d)),
+    )
+    def test_paths_and_loss(self, dims, horizon, shocked):
+        rng = np.random.default_rng(sum(dims) * 1000 + horizon)
+        spec = random_stabilizable_model(rng, *dims, 0.97)
+        reg, aug, anchored, system = full_solve(spec)
+        shocks = rng.normal(size=(horizon, spec.dims.n_z)) if shocked else None
+        traj = simulate_path(system, spec, reg, aug, horizon, shocks)
+        y, z, u, mu, loss = reference_path(system, spec, reg, aug, horizon, shocks)
+        paths = {"y": (traj.y, y), "z": (traj.z, z), "u": (traj.u, u), "mu": (traj.mu, mu)}
+        for name, (value, ref) in paths.items():
+            assert value.shape == ref.shape, name
+            assert rel_gap(value, ref) <= 1e-12, name
+        assert rel_gap(np.array(traj.loss), np.array(loss)) <= 1e-12
 
 
 class TestImpulseResponse:

@@ -104,3 +104,15 @@ class TestVarSimulateCheck:
         rep = to_var(spec, reg, aug, system)
         shocks = rng.normal(size=(100, 2))
         assert var_simulate_check(rep, system, spec, reg, aug, 100, shocks) <= 1e-7
+
+    def test_wrong_representation_detected(self):
+        rng = np.random.default_rng(71)
+        spec = random_stabilizable_model(rng, 1, 1, 2, 2, 0.97)
+        reg, aug, anchored, system = full_solve(spec)
+        rep = to_var(spec, reg, aug, system)
+        shocks = rng.normal(size=(100, 2))
+        bent = replace(rep, T_var=rep.T_var + 1e-3)
+        assert var_simulate_check(bent, system, spec, reg, aug, 100) > 1e-6
+        misloaded = replace(rep, shock_loading_var=2.0 * rep.shock_loading_var)
+        assert var_simulate_check(misloaded, system, spec, reg, aug, 100) <= 1e-7
+        assert var_simulate_check(misloaded, system, spec, reg, aug, 100, shocks) > 1e-3
