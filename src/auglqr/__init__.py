@@ -12,7 +12,7 @@ independent finite-horizon route for verification.
 """
 
 from .anchor import AnchoredState, anchor_x0
-from .augmented import AugmentedSolution, feedforward_gain, solve_sylvester
+from .augmented import AugmentedSolution, solve_sylvester
 from .checks import CheckReport, run_checks
 from .errors import (
     AugLQRError,
@@ -62,7 +62,6 @@ __all__ = [
     "anchor_x0",
     "backward_induction",
     "build_closed_loop",
-    "feedforward_gain",
     "grid_search_x0",
     "irf",
     "load_model",

@@ -67,8 +67,7 @@ def anchor_x0(
             x0 = -kernel.solve_linear(p_xx, rhs)
         except SingularMatrixError as exc:
             raise SingularMatrixError(
-                f"forward block of Riccati solution singular: {exc}",
-                pivot_index=exc.pivot_index,
+                f"forward block of Riccati solution singular: {exc}"
             ) from exc
 
     y0 = np.concatenate([k0, x0])

@@ -21,11 +21,7 @@ class InvalidModelError(AugLQRError):
 
 
 class SingularMatrixError(AugLQRError):
-    """A linear solve hit a pivot below the singularity threshold."""
-
-    def __init__(self, message, pivot_index=None):
-        super().__init__(message)
-        self.pivot_index = pivot_index
+    """A linear solve met a matrix whose reciprocal condition is below the threshold."""
 
 
 class DivergenceError(AugLQRError):

@@ -19,6 +19,7 @@ threads.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -267,6 +268,16 @@ def _as_number(value, name: str) -> float:
     return float(value)
 
 
+def _as_numbers(values: list, name: str) -> list:
+    """Return the list unchanged when every item is an int or float (not a bool)."""
+    # one pass over the item types; only a failing list is walked item by item,
+    # so the error names the first offending entry
+    if not set(map(type, values)) <= {int, float}:
+        for value in values:
+            _as_number(value, name)
+    return values
+
+
 def _as_count(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ModelFormatError(f"{name} must be an integer, got {value!r}")
@@ -281,14 +292,14 @@ def _parse_matrix(value, name: str) -> np.ndarray:
     widths = {len(row) for row in value}
     if len(widths) > 1:
         raise ModelFormatError(f"ragged matrix {name}: row lengths {sorted(widths)}")
-    entries = [[_as_number(x, f"{name} entry") for x in row] for row in value]
+    entries = _as_numbers(list(itertools.chain.from_iterable(value)), f"{name} entry")
     return np.array(entries, dtype=float).reshape(len(value), widths.pop())
 
 
 def _parse_vector(value, name: str) -> np.ndarray:
     if not isinstance(value, list):
         raise ModelFormatError(f"{name} must be an array of numbers")
-    return np.array([_as_number(x, f"{name} entry") for x in value], dtype=float)
+    return np.array(_as_numbers(value, f"{name} entry"), dtype=float)
 
 
 def _parse_labels(value) -> dict:

@@ -90,7 +90,7 @@ def solve_riccati(
     h_k = symmetrize(spec.Q_yy)
     diff = math.inf
     for iteration in range(1, max_iter + 1):
-        # one factorization of W serves W^{-1} A_k and W^{-1} G_k
+        # one inverse of W serves W^{-1} A_k and W^{-1} G_k
         w_inv = kernel.solve_linear(np.eye(len(a_k)) + g_k @ h_k, np.hstack([a_k, g_k]))
         w_inv_a, w_inv_g = np.hsplit(w_inv, [a_k.shape[1]])
         h_next = symmetrize(h_k + a_k.T @ h_k @ w_inv_a)

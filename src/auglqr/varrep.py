@@ -60,7 +60,7 @@ def to_var(
         )
 
     fz_inv = kernel.solve_linear(aug.F_z, np.eye(n_z))
-    fz_inv_fy = kernel.solve_linear(aug.F_z, reg.F_y)
+    fz_inv_fy = fz_inv @ reg.F_y
 
     n = n_y + n_z
     m_inv = np.zeros((n, n))

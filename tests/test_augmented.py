@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from auglqr import Dims, ModelSpec, feedforward_gain, solve_riccati, solve_sylvester
+from auglqr import Dims, ModelSpec, solve_riccati, solve_sylvester
+from auglqr.augmented import feedforward_gain
 from auglqr.kernel import inf_norm
 
 from _support import (

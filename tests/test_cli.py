@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import auglqr
 from auglqr.cli import main
 
 from _support import MODELS_DIR
@@ -260,3 +263,35 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert "1.61803398875" in result.stdout
+
+
+NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # from here on, any scipy import raises ImportError
+from auglqr.cli import main
+codes = {}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[argv[0]] = main(argv)
+loaded = [name for name, module in sys.modules.items()
+          if name.partition(".")[0] == "scipy" and module is not None]
+print(json.dumps({"codes": codes, "scipy_modules": loaded}))
+"""
+
+
+def test_runs_without_scipy():
+    commands = [
+        [cmd, "--model", GOLDEN]
+        for cmd in ("validate", "check", "solve", "simulate", "irf", "var", "oracle-compare")
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(auglqr.__file__).resolve().parent.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    outcome = json.loads(result.stdout)
+    assert outcome["codes"] == {argv[0]: 0 for argv in commands}
+    assert outcome["scipy_modules"] == []

@@ -71,9 +71,20 @@ class TestSolveLinear:
         assert x == pytest.approx(np.array([[1.0], [2.0]]))
 
     def test_zero_matrix_singular(self):
-        with pytest.raises(SingularMatrixError) as err:
+        with pytest.raises(SingularMatrixError, match="reciprocal condition|singular"):
             kernel.solve_linear(np.zeros((2, 2)), np.ones((2, 1)))
-        assert err.value.pivot_index == 0
+
+    def test_ill_conditioned_unit_pivots_rejected(self):
+        # unit upper triangular, -1 above the diagonal: every LU pivot is 1,
+        # but the 1-norm condition number is about 3.5e19
+        a = np.eye(60) - np.triu(np.ones((60, 60)), 1)
+        with pytest.raises(SingularMatrixError, match="reciprocal condition"):
+            kernel.solve_linear(a, np.ones(60))
+
+    def test_badly_scaled_diagonal_accepted(self):
+        # condition number 1e12, reciprocal 1e-12: above the 1e-13 threshold
+        x = kernel.solve_linear(np.diag([1e8, 1e-4]), np.array([1e8, 1e-4]))
+        assert x == pytest.approx([1.0, 1.0], rel=1e-15)
 
     def test_recovers_solution_up_to_20x20(self):
         rng = np.random.default_rng(13)

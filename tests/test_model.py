@@ -145,6 +145,26 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match="R entry"):
             load_model(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("A_yy", [[1.0, True]], "A_yy entry must be a number, got True"),
+            ("Q_yy", [[1.0], ["2"]], "Q_yy entry must be a number, got '2'"),
+            ("R", [[None]], "R entry must be a number, got None"),
+            ("B_y", [[1, [2.0]]], "B_y entry must be a number, got [2.0]"),
+            ("z0", [1.0, False, "x"], "z0 entry must be a number, got False"),
+            ("k0", "1.0", "k0 must be an array of numbers"),
+            ("A_zz", [[1.0, 2.0], [3.0]], "ragged matrix A_zz: row lengths [1, 2]"),
+            ("A_yz", [1.0], "A_yz must be an array of arrays"),
+        ],
+    )
+    def test_schema_error_message(self, field, value, message):
+        doc = json.loads((MODELS_DIR / "golden.json").read_text())
+        doc[field] = value
+        with pytest.raises(ModelFormatError) as err:
+            load_model(json.dumps(doc))
+        assert str(err.value) == message
+
     def test_invalid_json(self):
         with pytest.raises(ModelFormatError, match="invalid JSON"):
             load_model("{not json")
