@@ -25,8 +25,8 @@ import numpy as np
 
 from . import kernel
 from .errors import DivergenceError
-from .model import ModelSpec, symmetrize
-from .regulator import BLOWUP, MAX_ITER, RegulatorSolution
+from .model import ModelSpec
+from .regulator import BLOWUP, DEFAULT_TOL, MAX_ITER, RegulatorSolution, gain
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,18 +49,13 @@ def _sylvester_residual(spec, reg, abar, p_z):
     return kernel.inf_norm(p_z - target)
 
 
-def solve_sylvester(
-    spec: ModelSpec,
-    reg: RegulatorSolution,
-    tol: float = 1e-12,
-    max_iter: int = MAX_ITER,
-) -> AugmentedSolution:
+def solve_sylvester(spec: ModelSpec, reg: RegulatorSolution) -> AugmentedSolution:
     """Solve for P_z and the feedforward gain F_z by Smith doubling.
 
-    Stops when ||X_{k+1} - X_k||_inf <= tol * (1 + ||X_{k+1}||_inf) and
-    raises :class:`DivergenceError` when the doubling explodes or exhausts
-    ``max_iter`` steps.  With n_z = 0 the forcing terms vanish and empty
-    matrices are returned.
+    Stops when ||X_{k+1} - X_k||_inf <= DEFAULT_TOL * (1 + ||X_{k+1}||_inf)
+    and raises :class:`DivergenceError` when the doubling explodes or
+    exhausts ``MAX_ITER`` steps.  With n_z = 0 the forcing terms vanish and
+    empty matrices are returned.
     """
     dims = spec.dims
     if dims.n_z == 0:
@@ -77,7 +72,7 @@ def solve_sylvester(
     m_k = root * abar.T
     n_k = root * spec.A_zz
     diff = math.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_ITER + 1):
         step = m_k @ p_z @ n_k
         p_next = p_z + step
         diff = kernel.inf_norm(step)
@@ -88,13 +83,13 @@ def solve_sylvester(
                 residual=diff,
             )
         p_z = p_next
-        if diff <= tol * (1.0 + scale):
+        if diff <= DEFAULT_TOL * (1.0 + scale):
             break
         m_k = m_k @ m_k
         n_k = n_k @ n_k
     else:
         raise DivergenceError(
-            f"Sylvester iteration did not converge within {max_iter} iterations",
+            f"Sylvester iteration did not converge within {MAX_ITER} iterations",
             residual=diff,
         )
 
@@ -108,9 +103,5 @@ def feedforward_gain(
     spec: ModelSpec, reg: RegulatorSolution, P_z: np.ndarray
 ) -> np.ndarray:
     """F_z = -(R + b B' P_y B)^{-1} b B' (P_y A_yz + P_z A_zz)."""
-    if spec.dims.n_z == 0:
-        return np.zeros((spec.dims.n_u, 0))
-    b = spec.B_y
-    s = symmetrize(spec.R + spec.beta * (b.T @ reg.P_y @ b))
-    rhs = spec.beta * (b.T @ (reg.P_y @ spec.A_yz + P_z @ spec.A_zz))
-    return -kernel.solve_linear(s, rhs)
+    w = spec.beta * (spec.B_y.T @ (reg.P_y @ spec.A_yz + P_z @ spec.A_zz))
+    return gain(spec, reg.P_y, w)

@@ -2,9 +2,9 @@
 
 Subcommands: validate, check, solve, simulate, irf, var, oracle-compare.
 Reports go to standard output (JSON by default, CSV on request) and
-diagnostics to standard error.  Exit statuses: 0 success, 1 validation or
-stabilizability failure, 2 numerical failure (singularity, divergence,
-instability), 3 I/O or schema error.
+diagnostics to standard error.  Exit statuses: 0 success, 1 usage error,
+validation or stabilizability failure, 2 numerical failure (singularity,
+divergence, instability), 3 I/O or schema error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -113,15 +114,11 @@ def _jsonable(value):
     if isinstance(value, float):
         return _sig(value)
     if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return [_jsonable(complex(v)) for v in value.reshape(-1)]
         return _jsonable(value.tolist())
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return _jsonable(value.item())
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -140,13 +137,9 @@ def _flatten(prefix: str, value, out: list[tuple[str, str]]):
         for k, v in value.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, out)
     elif isinstance(value, np.ndarray):
-        if value.ndim == 2:
-            for i in range(value.shape[0]):
-                for j in range(value.shape[1]):
-                    out.append((f"{prefix}[{i}][{j}]", _csv_cell(value[i, j].item())))
-        else:
-            for i, v in enumerate(value.reshape(-1)):
-                out.append((f"{prefix}[{i}]", _csv_cell(v.item())))
+        brackets = "[{}]" * value.ndim
+        for index, v in zip(np.ndindex(value.shape), value.ravel().tolist()):
+            out.append((prefix + brackets.format(*index), _csv_cell(v)))
     elif isinstance(value, (list, tuple)):
         for i, v in enumerate(value):
             _flatten(f"{prefix}[{i}]", v, out)
@@ -216,19 +209,6 @@ def _diag(message: str):
     print(message, file=sys.stderr)
 
 
-def _check_report_dict(report) -> dict:
-    return {
-        "controllable": report.controllable,
-        "controllability_rank": report.controllability_rank,
-        "required_rank": report.required_rank,
-        "forcing_stable": report.forcing_stable,
-        "forcing_spectral_radius": report.forcing_spectral_radius,
-        "threshold": report.threshold,
-        "eigenvalues_zz": report.eigenvalues_zz,
-        "failures": report.failures(),
-    }
-
-
 def _dispatch(args, at) -> tuple[str, int]:
     at("model-load")
     document = Path(args.model).read_text(encoding="utf-8")
@@ -257,7 +237,8 @@ def _dispatch(args, at) -> tuple[str, int]:
     at("checks")
     check = run_checks(spec)
     if args.command == "check":
-        return _render_report(_check_report_dict(check), args.format), (
+        body = {**asdict(check), "failures": check.failures()}
+        return _render_report(body, args.format), (
             EXIT_OK if check.ok else EXIT_REJECTED
         )
 
@@ -318,15 +299,7 @@ def _dispatch(args, at) -> tuple[str, int]:
     if args.command == "var":
         at("var-basis")
         rep = to_var(spec, reg, aug, system)
-        body = {
-            "T_var": rep.T_var,
-            "shock_loading_var": rep.shock_loading_var,
-            "M": rep.M,
-            "M_inv": rep.M_inv,
-            "z_from_y": rep.z_recovery[0],
-            "z_from_u": rep.z_recovery[1],
-        }
-        return _render_report(body, args.format), EXIT_OK
+        return _render_report(asdict(rep), args.format), EXIT_OK
 
     if args.command == "simulate":
         at("simulate")
@@ -351,7 +324,14 @@ def _dispatch(args, at) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, a status reserved here for
+        # numerical failure; its message is already on stderr
+        if exc.code != 2:
+            raise
+        return EXIT_REJECTED
     stage = "startup"
 
     def at(name: str):

@@ -15,7 +15,7 @@ from .errors import DimensionError, SingularMatrixError
 
 #: reciprocal 1-norm condition number at or below which a solve is declared singular
 RCOND_MIN = 1e-13
-#: default relative tolerance for the numerical rank
+#: relative tolerance for the numerical rank
 RANK_RTOL = 1e-10
 
 
@@ -52,20 +52,21 @@ def spectral_radius(m: np.ndarray) -> float:
     return float(np.max(np.abs(eig))) if eig.size else 0.0
 
 
-def rank(m: np.ndarray, tol: float = RANK_RTOL) -> int:
-    """Numerical rank: singular values above tol * max(rows, cols) * sigma_max.
+def rank(m: np.ndarray) -> int:
+    """Numerical rank: the count of singular values above
+    RANK_RTOL * max(rows, cols) * sigma_max.
 
     Complex input keeps its imaginary part (the PBH gate passes A - lambda I).
+    Rank decides no invertibility: whether a matrix can be inverted is left
+    to the reciprocal-condition gate of :func:`solve_linear` alone.
     """
     m = np.atleast_2d(np.asarray(m))
     if m.size == 0:
         return 0
-    if tol < 0:
-        raise ValueError(f"rank tolerance must be non-negative, got {tol}")
     s = np.linalg.svd(m, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * max(m.shape) * s[0]))
+    return int(np.count_nonzero(s > RANK_RTOL * max(m.shape) * s[0]))
 
 
 def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:

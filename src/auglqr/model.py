@@ -109,16 +109,11 @@ class ModelSpec:
         expected = _expected_shapes(self.dims)
         for name in _MATRIX_FIELDS:
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 2:
-                shape = expected[name]
-                if arr.size == 0 and shape[0] * shape[1] == 0:
-                    # empty slots may arrive as flat [] -- give them their true shape
-                    arr = arr.reshape(shape)
-                else:
-                    arr = np.atleast_2d(arr)
-            elif arr.size == 0 and arr.shape != expected[name]:
-                if expected[name][0] * expected[name][1] == 0:
-                    arr = arr.reshape(expected[name])
+            if arr.size == 0 and 0 in expected[name]:
+                # empty slots may arrive as flat [] -- give them their true shape
+                arr = arr.reshape(expected[name])
+            elif arr.ndim != 2:
+                arr = np.atleast_2d(arr)
             object.__setattr__(self, name, _freeze(arr))
         for name in _VECTOR_FIELDS:
             vec = np.asarray(getattr(self, name), dtype=float).reshape(-1)

@@ -54,32 +54,27 @@ class RegulatorSolution:
     residual: float
 
 
+def gain(spec: ModelSpec, p_y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """-(R + b B' P_y B)^{-1} w: the feedback gain for w = b B' P_y A_yy and
+    the feedforward gain for w = b B' (P_y A_yz + P_z A_zz)."""
+    b = spec.B_y
+    return -kernel.solve_linear(symmetrize(spec.R + spec.beta * (b.T @ p_y @ b)), w)
+
+
 def riccati_rhs(P: np.ndarray, spec: ModelSpec) -> np.ndarray:
     """One application of the Riccati map at P; output exactly symmetric."""
-    a, b, beta = spec.A_yy, spec.B_y, spec.beta
-    q = symmetrize(spec.Q_yy)
-    r = symmetrize(spec.R)
-    w = beta * (b.T @ P @ a)  # b B' P A
-    s = symmetrize(r + beta * (b.T @ P @ b))
-    rhs = q + beta * (a.T @ P @ a) - w.T @ kernel.solve_linear(s, w)
+    a, beta = spec.A_yy, spec.beta
+    w = beta * (spec.B_y.T @ P @ a)  # b B' P A
+    rhs = symmetrize(spec.Q_yy) + beta * (a.T @ P @ a) + w.T @ gain(spec, P, w)
     return symmetrize(rhs)
 
 
-def _feedback_gain(spec: ModelSpec, p: np.ndarray) -> np.ndarray:
-    s = symmetrize(spec.R + spec.beta * (spec.B_y.T @ p @ spec.B_y))
-    return -kernel.solve_linear(s, spec.beta * (spec.B_y.T @ p @ spec.A_yy))
-
-
-def solve_riccati(
-    spec: ModelSpec,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITER,
-) -> RegulatorSolution:
+def solve_riccati(spec: ModelSpec, tol: float = DEFAULT_TOL) -> RegulatorSolution:
     """Solve for the stabilizing fixed point by structure-preserving doubling.
 
     Stops when ||H_{k+1} - H_k||_inf <= tol * (1 + ||H_{k+1}||_inf).  Raises
     :class:`DivergenceError` (carrying the last step size) when the doubling
-    explodes, exhausts ``max_iter`` steps or returns a matrix that is not
+    explodes, exhausts ``MAX_ITER`` steps or returns a matrix that is not
     positive semidefinite, and :class:`InstabilityError` when the converged
     gain fails the closed-loop spectral-radius margin.
     """
@@ -89,7 +84,7 @@ def solve_riccati(
     g_k = symmetrize(b @ kernel.solve_linear(symmetrize(spec.R), b.T))
     h_k = symmetrize(spec.Q_yy)
     diff = math.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_ITER + 1):
         # one inverse of W serves W^{-1} A_k and W^{-1} G_k
         w_inv = kernel.solve_linear(np.eye(len(a_k)) + g_k @ h_k, np.hstack([a_k, g_k]))
         w_inv_a, w_inv_g = np.hsplit(w_inv, [a_k.shape[1]])
@@ -109,7 +104,7 @@ def solve_riccati(
             break
     else:
         raise DivergenceError(
-            f"Riccati iteration did not converge within {max_iter} iterations"
+            f"Riccati iteration did not converge within {MAX_ITER} iterations"
             f" (last step {diff:.3e})",
             residual=diff,
         )
@@ -122,7 +117,7 @@ def solve_riccati(
             f" after {iteration} iterations",
             residual=diff,
         )
-    f = _feedback_gain(spec, h_k)
+    f = gain(spec, h_k, spec.beta * (spec.B_y.T @ h_k @ spec.A_yy))
     radius = kernel.spectral_radius(spec.A_yy + spec.B_y @ f)
     limit = 1.0 / math.sqrt(spec.beta) - STABILITY_MARGIN
     if radius >= limit:

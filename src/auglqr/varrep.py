@@ -10,7 +10,9 @@ F_z is invertible, the map
 turns the closed loop into an observationally equivalent autoregressive
 system in (y, u): next-period instruments respond only to lagged observables.
 The forcing variables remain recoverable from the observables through
-z_t = F_z^{-1} u_t - F_z^{-1} F_y y_t.
+z_t = F_z^{-1} u_t - F_z^{-1} F_y y_t.  F_z counts as invertible when
+:func:`kernel.solve_linear` accepts it: its reciprocal 1-norm condition
+number must exceed ``kernel.RCOND_MIN``.
 """
 
 from __future__ import annotations
@@ -26,9 +28,6 @@ from .model import ModelSpec
 from .regulator import RegulatorSolution
 from .simulate import ClosedLoopSystem, simulate_path, state_path
 
-#: refuse to invert F_z beyond this condition number
-COND_LIMIT = 1e12
-
 
 @dataclass(frozen=True, eq=False)
 class VarRepresentation:
@@ -38,7 +37,8 @@ class VarRepresentation:
     shock_loading_var: np.ndarray
     M: np.ndarray
     M_inv: np.ndarray
-    z_recovery: tuple[np.ndarray, np.ndarray]  # (-F_z^{-1} F_y, F_z^{-1})
+    z_from_y: np.ndarray  # -F_z^{-1} F_y
+    z_from_u: np.ndarray  # F_z^{-1}
 
 
 def to_var(
@@ -53,13 +53,10 @@ def to_var(
         raise DimensionError(
             f"F_z not square, VAR representation undefined (n_u = {n_u}, n_z = {n_z})"
         )
-    cond = float(np.linalg.cond(aug.F_z))
-    if not np.isfinite(cond) or cond >= COND_LIMIT:
-        raise SingularMatrixError(
-            f"F_z too ill-conditioned to invert (condition estimate {cond:.3e})"
-        )
-
-    fz_inv = kernel.solve_linear(aug.F_z, np.eye(n_z))
+    try:
+        fz_inv = kernel.solve_linear(aug.F_z, np.eye(n_z))
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(f"F_z too ill-conditioned to invert: {exc}") from exc
     fz_inv_fy = fz_inv @ reg.F_y
 
     n = n_y + n_z
@@ -81,7 +78,8 @@ def to_var(
         shock_loading_var=shock_loading_var,
         M=m,
         M_inv=m_inv,
-        z_recovery=(z_from_y, fz_inv),
+        z_from_y=z_from_y,
+        z_from_u=fz_inv,
     )
 
 

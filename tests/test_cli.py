@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import auglqr
+from auglqr import save_model
 from auglqr.cli import main
 
-from _support import MODELS_DIR
+from _support import MODELS_DIR, scalar_spec
 
 GOLDEN = str(MODELS_DIR / "golden.json")
 BACK = str(MODELS_DIR / "back.json")
@@ -64,6 +65,57 @@ class TestExitStatuses:
         code, _, err = run(capsys, "solve", "--model", "no/such/file.json")
         assert code == 3
         assert "model-load" in err
+
+    def test_non_stabilizing_fixed_point_is_numerical_failure(self, capsys, tmp_path):
+        spec = scalar_spec(beta=0.95, a=2.0, q=0.0, forward=False, a_yz=1.0, a_zz=0.5)
+        path = tmp_path / "unobserved.json"
+        path.write_text(save_model(spec))
+        code, _, err = run(capsys, "solve", "--model", str(path))
+        assert code == 2
+        assert "[riccati]" in err
+        assert "closed loop not stabilizing" in err
+
+    def test_invalid_model_stops_at_validate_stage(self, capsys, tmp_path):
+        doc = json.loads((MODELS_DIR / "golden.json").read_text())
+        doc["beta"] = 1.5
+        path = tmp_path / "beta.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "solve", "--model", str(path))
+        assert code == 1
+        assert json.loads(out) == {
+            "stage": "validate",
+            "violations": ["beta must lie in (0, 1], got 1.5"],
+        }
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 1; status 2 is kept for numerical failure."""
+
+    def test_unrecognized_flag(self, capsys):
+        code, out, err = run(capsys, "check", "--model", GOLDEN, "--force")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --force" in err
+
+    def test_unknown_subcommand(self, capsys):
+        code, _, err = run(capsys, "frobnicate", "--model", GOLDEN)
+        assert code == 1
+        assert "invalid choice" in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "oracle-compare" in capsys.readouterr().out
+
+    def test_process_exit_status(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "auglqr.cli", "validate", "--model", GOLDEN, "--force"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert "unrecognized arguments: --force" in result.stderr
 
 
 class TestValidateCommand:

@@ -56,10 +56,6 @@ class TestRank:
         assert kernel.rank([[1.0, 1j], [-1j, 1.0]]) == 1
         assert kernel.rank([[1.0, 1j], [1j, 1.0]]) == 2
 
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            kernel.rank(np.eye(2), tol=-1e-3)
-
 
 class TestSolveLinear:
     def test_identity(self):

@@ -1,4 +1,5 @@
-"""Each ``auglqr`` line of the README's CLI block runs and prints a report."""
+"""The README's examples run: each ``auglqr`` line of its CLI block prints a
+report, and its Library block executes as written."""
 
 import csv
 import io
@@ -13,9 +14,15 @@ from auglqr.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def readme_cli_lines() -> list[str]:
+def readme_block(section: str, fence: str) -> str:
+    """The first ``fence`` code block under the README's ``## section`` heading."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    section_text = text.split(f"\n## {section}\n", 1)[1]
+    return section_text.split(f"```{fence}\n", 1)[1].split("```", 1)[0]
+
+
+def readme_cli_lines() -> list[str]:
+    block = readme_block("CLI", "sh")
     return [line.strip() for line in block.splitlines() if line.startswith("auglqr ")]
 
 
@@ -38,3 +45,12 @@ def test_readme_cli_line(line, capsys, monkeypatch):
         assert len({len(row) for row in rows}) == 1
     else:
         json.loads(out)
+
+
+def test_readme_library_block(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    namespace = {}
+    exec(readme_block("Library", "python"), namespace)
+    assert namespace["traj"].horizon == 200
+    assert namespace["response"].horizon == 40
+    assert namespace["rep"].T_var.shape == (2, 2)

@@ -78,7 +78,7 @@ class TestToVar:
         spec, reg, aug, anchored, system = golden_solved
         rep = to_var(spec, reg, aug, system)
         traj = simulate_path(system, spec, reg, aug, 50)
-        from_y, from_u = rep.z_recovery
+        from_y, from_u = rep.z_from_y, rep.z_from_u
         z_rec = traj.y @ from_y.T + traj.u @ from_u.T
         assert np.max(np.abs(z_rec - traj.z)) <= 1e-10
         u_again = traj.y @ reg.F_y.T + z_rec @ aug.F_z.T
