@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -163,12 +164,41 @@ def _render_report(report: dict, fmt: str) -> str:
     return "key,value\n" + "\n".join(lines) + "\n"
 
 
+#: a JSON cell's format spec (plain, integral, pre-rendered text) followed by
+#: the separator after it (within a row, at a row's end, after the last row)
+_JSON_CELLS = np.array(
+    [
+        spec + sep
+        for sep in (",\n      ", "\n    ],\n    [\n      ", "")
+        for spec in ("{:.12g}", "{:.1f}", "{}")
+    ],
+    dtype=object,
+)
+
+
 def _render_table(columns: list[str], rows: np.ndarray, fmt: str, extra: dict) -> str:
     """Render a path table through one format call over all of its cells.
 
     A CSV cell prints as ``_csv_cell`` prints the float.  A JSON cell prints
     as ``_jsonable`` and the json encoder print it: the repr of the value
     rounded to 12 significant digits, or json's NaN, Infinity, -Infinity.
+
+    For most JSON cells ``%.12g`` already prints that repr.  The text of a
+    finite normal double has at most 12 significant digits with trailing
+    zeros stripped, a decimal of 15 or fewer digits reads back as a double
+    whose repr is those digits, and both formats take an exponent below
+    1e-4.  The cells where the two differ get another format spec:
+
+    - integral text with no "." and no "e" ("3", "-0"), which repr ends in
+      ".0": an integer below 9.999e11 prints with ``{:.1f}``, a non-integer
+      within 1e-11 |v| of one (a superset of those that round to it) is
+      pre-rendered as ``repr(float(text))``;
+    - magnitudes that round into [1e12, 1e16), where ``%g`` takes an
+      exponent and repr does not, and subnormals, whose repr may have fewer
+      digits: pre-rendered as ``repr(float(text))``, found by the superset
+      9.999e11 <= |v| < 1e17 (999999999999.9 prints as 1e+12) or
+      0 < |v| < 2.3e-308;
+    - nan, inf and -inf: pre-rendered as NaN, Infinity and -Infinity.
     """
     horizon, width = rows.shape
     flat = rows.ravel()
@@ -177,15 +207,27 @@ def _render_table(columns: list[str], rows: np.ndarray, fmt: str, extra: dict) -
         table = "\n".join([",".join(["{:.12g}"] * width)] * horizon)
         return header + "\n" + table.format(*flat.tolist()) + "\n"
 
-    cells = [float(f"{v:.12g}") for v in flat.tolist()]
-    for i in np.flatnonzero(~np.isfinite(flat)):
-        cells[i] = json.dumps(cells[i])
-    row = "    [\n      " + ",\n      ".join(["{}"] * width) + "\n    ]"
-    table = ",\n".join([row] * horizon)
+    values = flat.tolist()
+    with np.errstate(invalid="ignore"):  # inf - rint(inf)
+        size = np.abs(flat)
+        small = size < 9.999e11
+        integer = small & (flat == np.rint(flat))
+        near = small & ~integer & (np.abs(flat - np.rint(flat)) <= 1e-11 * size)
+        exact = near | (~small & (size < 1e17)) | ((size > 0) & (size < 2.3e-308))
+        finite = np.isfinite(flat)
+    for i in np.flatnonzero(exact).tolist():
+        values[i] = repr(_sig(values[i]))
+    for i in np.flatnonzero(~finite).tolist():
+        values[i] = json.dumps(values[i])
+    kind = (integer + 2 * (exact | ~finite)).reshape(horizon, width)
+    kind[:, -1] += 3  # row ends
+    kind[-1, -1] += 3  # the last cell
+    table = "".join(_JSON_CELLS[kind.ravel()].tolist()).format(*values)
     # json.dumps(indent=2) lays out the rest of the report, with the rows
     # last; the table replaces the empty row list it ends with
     head = json.dumps(_jsonable({**extra, "columns": columns, "rows": []}), indent=2)
-    return head[: -len("[]\n}")] + "[\n" + table.format(*cells) + "\n  ]\n}\n"
+    head = head[: -len("[]\n}")] + "[\n    [\n      "
+    return "".join([head, table, "\n    ]\n  ]\n}\n"])
 
 
 def _trajectory_table(traj, spec):
@@ -228,6 +270,12 @@ def _dispatch(args, at) -> tuple[str, int]:
     at("config")
     if args.command in ("simulate", "irf", "oracle-compare") and args.horizon < 1:
         return f"horizon must be at least 1, got {args.horizon}\n", EXIT_REJECTED
+    tol = getattr(args, "tol_riccati", DEFAULT_TOL)
+    if not 0.0 <= tol < math.inf:
+        return f"--tol-riccati must be finite and >= 0, got {tol}\n", EXIT_REJECTED
+    seed = getattr(args, "noise_seed", None)
+    if seed is not None and seed < 0:
+        return f"--noise-seed must be >= 0, got {seed}\n", EXIT_REJECTED
     if args.command == "irf" and not 0 <= args.shock < spec.dims.n_z:
         return (
             f"shock index {args.shock} out of range for"
@@ -352,6 +400,10 @@ def main(argv=None) -> int:
     except (SingularMatrixError, DivergenceError, InstabilityError) as exc:
         _diag(f"error [{stage}]: {exc}")
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        # e.g. a horizon whose path arrays cannot be allocated
+        _diag(f"error [{stage}]: out of memory: {exc}")
+        return EXIT_REJECTED
 
     sys.stdout.write(output)
     if code != EXIT_OK:

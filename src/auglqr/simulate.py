@@ -97,12 +97,11 @@ def state_path(
 ) -> np.ndarray:
     """Rows s_0 .. s_{horizon-1} of s_{t+1} = transition s_t (+ drive[t])."""
     states = np.empty((horizon, len(start)))
-    state = np.asarray(start, dtype=float)
-    for t in range(horizon):
-        states[t] = state
-        state = transition @ state
+    states[0] = start
+    for t in range(horizon - 1):
+        np.dot(transition, states[t], out=states[t + 1])
         if drive is not None:
-            state += drive[t]
+            states[t + 1] += drive[t]
     return states
 
 

@@ -183,6 +183,19 @@ class TestSolveCommand:
         tight = json.loads(out2)["riccati_iterations"]
         assert loose < tight
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+    def test_meaningless_tolerance_is_a_config_error(self, capsys, tol):
+        code, out, err = run(capsys, "solve", "--model", GOLDEN, f"--tol-riccati={tol}")
+        assert code == 1
+        assert out.startswith("--tol-riccati must be finite and >= 0")
+        assert "[config]" in err
+        assert "[riccati]" not in err
+
+    def test_zero_tolerance_accepted(self, capsys):
+        code, out, _ = run(capsys, "solve", "--model", GOLDEN, "--tol-riccati", "0")
+        assert code == 0
+        assert json.loads(out)["P_y"]
+
 
 class TestTrajectoryCommands:
     def test_irf_csv_forcing_column(self, capsys):
@@ -229,6 +242,36 @@ class TestTrajectoryCommands:
     def test_bad_horizon(self, capsys):
         code, out, _ = run(capsys, "simulate", "--model", BACK, "--horizon", "0")
         assert code == 1
+
+    def test_negative_noise_seed_is_a_config_error(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--model", BACK, "--horizon", "10", "--noise-seed", "-1"
+        )
+        assert code == 1
+        assert out == "--noise-seed must be >= 0, got -1\n"
+        assert "[config]" in err
+        assert "noise seed:" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "irf"])
+    def test_unallocatable_path_is_reported_without_traceback(
+        self, capsys, monkeypatch, command
+    ):
+        # stands in for numpy's allocation failure at an absurd horizon
+        # without asking for the memory
+        def refuse(transition, start, horizon, drive=None):
+            raise MemoryError(f"Unable to allocate for an array with shape ({horizon}, 2)")
+
+        monkeypatch.setattr("auglqr.simulate.state_path", refuse)
+        code, out, err = run(
+            capsys, command, "--model", GOLDEN, "--horizon", "1000000000000"
+        )
+        assert code == 1
+        assert out == ""
+        stage = "simulate" if command == "simulate" else "impulse-response"
+        assert err == (
+            f"error [{stage}]: out of memory: Unable to allocate for an array"
+            " with shape (1000000000000, 2)\n"
+        )
 
 
 def parse_csv(text: str) -> list[list[str]]:

@@ -12,10 +12,12 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auglqr.cli import _csv_cell, _jsonable, _render_table
+from auglqr import irf, simulate_path
+from auglqr.cli import _csv_cell, _jsonable, _render_table, _trajectory_table
 
 
 def old_render_table(columns, rows, fmt, extra):
@@ -43,6 +45,11 @@ cells = st.one_of(
          999999999999.5, 9999999999999998.0, 1e16, 1e-5, 9.99999999999995e-5]
     ),
     st.floats(-SMALLEST_NORMAL, SMALLEST_NORMAL),  # subnormals
+    # near-integers, which %.12g rounds to integral text
+    st.tuples(st.integers(-(10**12), 10**12), st.sampled_from([1 - 1e-13, 1 + 1e-13])).map(
+        lambda p: p[0] * p[1]
+    ),
+    st.just(999999999999.9),  # %.12g rounds it to 1e+12
     st.floats(),
 )
 labels = st.text(
@@ -89,3 +96,20 @@ def test_csv_table_matches_per_cell_renderer(table):
     assert list(csv.reader(io.StringIO(header, newline=""))) == [columns]
     if not any(c in label for label in columns for c in ',"\r\n'):
         assert new == old
+
+
+@pytest.mark.parametrize("path", ["simulate", "irf"])
+@pytest.mark.parametrize("solved", ["golden_solved", "back_solved"])
+def test_json_table_matches_per_cell_encoder_at_long_horizon(request, solved, path):
+    # tens of thousands of zeros, about 20k subnormals on back, and the
+    # integral t column
+    spec, reg, aug, _, system = request.getfixturevalue(solved)
+    if path == "simulate":
+        traj = simulate_path(system, spec, reg, aug, 10_000)
+    else:
+        traj = irf(system, spec, reg, aug, 10_000, 0)
+    columns, rows = _trajectory_table(traj, spec)
+    extra = {"loss": traj.loss, "truncation_bound": traj.truncation_bound}
+    assert _render_table(columns, rows, "json", extra) == old_render_table(
+        columns, rows, "json", extra
+    )

@@ -16,6 +16,7 @@ from auglqr import (
 )
 from auglqr.kernel import solve_linear
 from auglqr.model import symmetrize
+from auglqr.simulate import state_path
 
 from _support import (
     GOLDEN_ABAR,
@@ -191,6 +192,56 @@ class TestSimulatePath:
         )
         with pytest.raises(DivergenceError, match=r"overflowed at t = 4$"):
             simulate_path(runaway, spec, reg, aug, 10)
+
+
+def loop_state_path(transition, start, horizon, drive=None):
+    """The loop ``state_path`` replaced: a fresh vector, and one step, per period."""
+    states = np.empty((horizon, len(start)))
+    state = np.asarray(start, dtype=float)
+    for t in range(horizon):
+        states[t] = state
+        state = transition @ state
+        if drive is not None:
+            state += drive[t]
+    return states
+
+
+class TestStatePathMatchesLoop:
+    """The in-place recurrence does the loop's arithmetic, so it is bit-identical."""
+
+    @pytest.mark.parametrize("driven", [False, True], ids=["free", "driven"])
+    @pytest.mark.parametrize("horizon", [1, 2, 500])
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_rows_bit_identical(self, n, horizon, driven):
+        rng = np.random.default_rng(100 * n + horizon)
+        transition = rng.normal(size=(n, n))
+        transition *= 0.97 / max(1e-12, np.max(np.abs(np.linalg.eigvals(transition))))
+        start = rng.normal(size=n)
+        drive = rng.normal(size=(horizon, n)) if driven else None
+        states = state_path(transition, start, horizon, drive)
+        assert states.shape == (horizon, n)
+        assert np.array_equal(states, loop_state_path(transition, start, horizon, drive))
+
+    @pytest.mark.parametrize("shocked", [False, True], ids=["deterministic", "shocks"])
+    def test_overflow_at_the_loop_period(self, shocked):
+        spec = scalar_spec(beta=0.95, a=0.5, a_yz=1.0, a_zz=0.5)
+        reg, aug, anchored, _ = full_solve(spec)
+        runaway = ClosedLoopSystem(
+            T_cl=np.array([[1e30, -3e29], [2e29, 7e29]]),
+            impulse_loading=np.array([[0.0], [1.0]]),
+            state0=np.array([1.0, -2.0]),
+        )
+        horizon = 40
+        shocks = np.random.default_rng(3).normal(size=(horizon, 1)) if shocked else None
+        drive = None if shocks is None else shocks @ runaway.impulse_loading.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = loop_state_path(runaway.T_cl, runaway.state0, horizon, drive)
+            new = state_path(runaway.T_cl, runaway.state0, horizon, drive)
+        assert np.array_equal(new, old, equal_nan=True)
+        first = int(np.argmax(~np.isfinite(old).all(axis=1)))
+        assert 0 < first < horizon - 1
+        with pytest.raises(DivergenceError, match=rf"overflowed at t = {first}$"):
+            simulate_path(runaway, spec, reg, aug, horizon, shocks)
 
 
 def rel_gap(value, ref) -> float:
