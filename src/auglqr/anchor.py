@@ -55,20 +55,18 @@ def anchor_x0(
     if z0.shape != (dims.n_z,):
         raise ValueError(f"z0 has length {z0.shape[0]}, expected {dims.n_z}")
 
+    # an empty forward block (n_x = 0) solves to an empty x0
     n_k = dims.n_k
-    if dims.n_x == 0:
-        x0 = np.zeros(0)
-    else:
-        p_xk = reg.P_y[n_k:, :n_k]
-        p_xx = reg.P_y[n_k:, n_k:]
-        p_zx = aug.P_z[n_k:, :]
-        rhs = p_xk @ k0 + p_zx @ z0
-        try:
-            x0 = -kernel.solve_linear(p_xx, rhs)
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(
-                f"forward block of Riccati solution singular: {exc}"
-            ) from exc
+    p_xk = reg.P_y[n_k:, :n_k]
+    p_xx = reg.P_y[n_k:, n_k:]
+    p_zx = aug.P_z[n_k:, :]
+    rhs = p_xk @ k0 + p_zx @ z0
+    try:
+        x0 = -kernel.solve_linear(p_xx, rhs)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(
+            f"forward block of Riccati solution singular: {exc}"
+        ) from exc
 
     y0 = np.concatenate([k0, x0])
     mu0 = reg.P_y @ y0 + aug.P_z @ z0

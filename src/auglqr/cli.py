@@ -5,6 +5,10 @@ Reports go to standard output (JSON by default, CSV on request) and
 diagnostics to standard error.  Exit statuses: 0 success, 1 usage error,
 validation or stabilizability failure, 2 numerical failure (singularity,
 divergence, instability), 3 I/O or schema error.
+
+A flag outside its range is a usage error from the parser, raised before the
+model is read; ``--shock`` is checked against the model at the ``config``
+stage.  Both report on stderr: stdout only ever carries a report.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .errors import (
     DimensionError,
     DivergenceError,
     InstabilityError,
-    InvalidModelError,
     ModelFormatError,
     SingularMatrixError,
 )
@@ -39,6 +42,22 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
+
+
+def _checked(convert, ok, requirement: str):
+    """An argparse ``type=`` converting a flag and checking ``ok`` on its value.
+
+    It keeps ``convert``'s name for argparse's ``invalid int value: 'abc'``.
+    """
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = add_command(name, help_text)
         cmd.add_argument(
             "--tol-riccati",
-            type=float,
+            type=_checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
             default=DEFAULT_TOL,
             metavar="TOL",
             help="Riccati convergence tolerance",
@@ -85,13 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
             help="downgrade a failed stabilizability check to a warning",
         )
         if name in ("simulate", "irf", "oracle-compare"):
-            cmd.add_argument("--horizon", type=int, default=500, metavar="T")
+            horizon = _checked(int, lambda v: v >= 1, "at least 1")
+            cmd.add_argument("--horizon", type=horizon, default=500, metavar="T")
         if name == "irf":
             cmd.add_argument("--shock", type=int, default=0, metavar="J")
         if name == "simulate":
             cmd.add_argument(
                 "--noise-seed",
-                type=int,
+                type=_checked(int, lambda v: v >= 0, ">= 0"),
                 default=None,
                 metavar="SEED",
                 help="draw standard-normal forcing innovations (illustration only)",
@@ -268,19 +288,11 @@ def _dispatch(args, at) -> tuple[str, int]:
         return _render_report(body, args.format), EXIT_REJECTED
 
     at("config")
-    if args.command in ("simulate", "irf", "oracle-compare") and args.horizon < 1:
-        return f"horizon must be at least 1, got {args.horizon}\n", EXIT_REJECTED
-    tol = getattr(args, "tol_riccati", DEFAULT_TOL)
-    if not 0.0 <= tol < math.inf:
-        return f"--tol-riccati must be finite and >= 0, got {tol}\n", EXIT_REJECTED
-    seed = getattr(args, "noise_seed", None)
-    if seed is not None and seed < 0:
-        return f"--noise-seed must be >= 0, got {seed}\n", EXIT_REJECTED
     if args.command == "irf" and not 0 <= args.shock < spec.dims.n_z:
-        return (
+        raise ValueError(
             f"shock index {args.shock} out of range for"
-            f" {spec.dims.n_z} forcing variables\n"
-        ), EXIT_REJECTED
+            f" {spec.dims.n_z} forcing variables"
+        )
 
     at("checks")
     check = run_checks(spec)
@@ -292,15 +304,11 @@ def _dispatch(args, at) -> tuple[str, int]:
 
     # stabilizability gates ahead of any solve; an unstable forcing block is
     # never overridable (the discounted loss would be unbounded)
-    if not check.forcing_stable:
+    if not (check.forcing_stable and (check.controllable or args.force)):
         body = {"stage": "checks", "failures": check.failures()}
         return _render_report(body, args.format), EXIT_REJECTED
     if not check.controllable:
-        if args.force:
-            _diag("warning [checks]: " + "; ".join(check.failures()) + " (forced)")
-        else:
-            body = {"stage": "checks", "failures": check.failures()}
-            return _render_report(body, args.format), EXIT_REJECTED
+        _diag("warning [checks]: " + "; ".join(check.failures()) + " (forced)")
 
     at("riccati")
     reg = solve_riccati(spec, tol=args.tol_riccati)
@@ -391,9 +399,6 @@ def main(argv=None) -> int:
     except (OSError, ModelFormatError) as exc:
         _diag(f"error [{stage}]: {exc}")
         return EXIT_IO
-    except InvalidModelError as exc:
-        _diag(f"error [{stage}]: {exc}")
-        return EXIT_REJECTED
     except (DimensionError, ValueError) as exc:
         _diag(f"error [{stage}]: {exc}")
         return EXIT_REJECTED

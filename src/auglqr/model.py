@@ -35,6 +35,7 @@ TOL_SYM = 1e-10
 _MATRIX_FIELDS = ("A_yy", "A_yz", "A_zz", "B_y", "Q_yy", "Q_yz", "R")
 _VECTOR_FIELDS = ("k0", "z0")
 _LABEL_KEYS = ("k", "x", "z", "u")
+_DIM_KEYS = ("n_k", "n_x", "n_z", "n_u")
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,11 @@ class Dims:
     n_u: int
 
     def __post_init__(self):
-        for name in ("n_k", "n_x", "n_z", "n_u"):
+        for name in _DIM_KEYS:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not (integer and value >= 0):
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {value}")
         if self.n_y < 1:
             raise ValueError("need at least one endogenous variable (n_k + n_x >= 1)")
         if self.n_u < 1:
@@ -273,12 +273,6 @@ def _as_numbers(values: list, name: str) -> list:
     return values
 
 
-def _as_count(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ModelFormatError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _parse_matrix(value, name: str) -> np.ndarray:
     if not isinstance(value, list) or any(not isinstance(row, list) for row in value):
         raise ModelFormatError(f"{name} must be an array of arrays")
@@ -329,12 +323,7 @@ def load_model(document: str) -> ModelSpec:
     if not isinstance(dims_raw, dict):
         raise ModelFormatError("dims must be an object")
     try:
-        dims = Dims(
-            n_k=_as_count(_require(dims_raw, "n_k", "dims"), "dims.n_k"),
-            n_x=_as_count(_require(dims_raw, "n_x", "dims"), "dims.n_x"),
-            n_z=_as_count(_require(dims_raw, "n_z", "dims"), "dims.n_z"),
-            n_u=_as_count(_require(dims_raw, "n_u", "dims"), "dims.n_u"),
-        )
+        dims = Dims(**{name: _require(dims_raw, name, "dims") for name in _DIM_KEYS})
     except ValueError as exc:
         raise ModelFormatError(f"dims: {exc}") from exc
 

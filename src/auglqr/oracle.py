@@ -32,7 +32,6 @@ class FiniteHorizonSolution:
     P_z_seq: list[np.ndarray]
     F_y_T: np.ndarray
     F_z_T: np.ndarray
-    x0_grid_opt: float | None = None
 
 
 def backward_induction(spec: ModelSpec, horizon: int) -> FiniteHorizonSolution:

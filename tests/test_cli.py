@@ -187,8 +187,8 @@ class TestSolveCommand:
     def test_meaningless_tolerance_is_a_config_error(self, capsys, tol):
         code, out, err = run(capsys, "solve", "--model", GOLDEN, f"--tol-riccati={tol}")
         assert code == 1
-        assert out.startswith("--tol-riccati must be finite and >= 0")
-        assert "[config]" in err
+        assert out == ""
+        assert f"argument --tol-riccati: must be finite and >= 0, got {tol}" in err
         assert "[riccati]" not in err
 
     def test_zero_tolerance_accepted(self, capsys):
@@ -210,9 +210,12 @@ class TestTrajectoryCommands:
         assert z_col == ["1", "0.5", "0.25"]
 
     def test_irf_shock_out_of_range(self, capsys):
-        code, out, _ = run(capsys, "irf", "--model", GOLDEN, "--shock", "3")
+        code, out, err = run(capsys, "irf", "--model", GOLDEN, "--shock", "3")
         assert code == 1
-        assert "out of range" in out
+        assert out == ""
+        assert err == (
+            "error [config]: shock index 3 out of range for 1 forcing variables\n"
+        )
 
     def test_simulate_json(self, capsys):
         code, out, _ = run(capsys, "simulate", "--model", BACK, "--horizon", "10")
@@ -240,16 +243,39 @@ class TestTrajectoryCommands:
         assert plain != first
 
     def test_bad_horizon(self, capsys):
-        code, out, _ = run(capsys, "simulate", "--model", BACK, "--horizon", "0")
+        code, out, err = run(capsys, "simulate", "--model", BACK, "--horizon", "0")
         assert code == 1
+        assert out == ""
+        assert "argument --horizon: must be at least 1, got 0" in err
+
+    def test_negative_horizon(self, capsys):
+        code, out, err = run(capsys, "irf", "--model", GOLDEN, "--horizon", "-3")
+        assert code == 1
+        assert out == ""
+        assert "argument --horizon: must be at least 1, got -3" in err
+
+    def test_unparsable_horizon_names_the_type(self, capsys):
+        code, out, err = run(capsys, "simulate", "--model", BACK, "--horizon", "abc")
+        assert code == 1
+        assert out == ""
+        assert "argument --horizon: invalid int value: 'abc'" in err
+
+    def test_flag_range_is_checked_before_the_model_is_read(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--model", "no/such/file.json", "--horizon", "0"
+        )
+        assert code == 1
+        assert out == ""
+        assert "argument --horizon: must be at least 1, got 0" in err
+        assert "model-load" not in err
 
     def test_negative_noise_seed_is_a_config_error(self, capsys):
         code, out, err = run(
             capsys, "simulate", "--model", BACK, "--horizon", "10", "--noise-seed", "-1"
         )
         assert code == 1
-        assert out == "--noise-seed must be >= 0, got -1\n"
-        assert "[config]" in err
+        assert out == ""
+        assert "argument --noise-seed: must be >= 0, got -1" in err
         assert "noise seed:" not in err
 
     @pytest.mark.parametrize("command", ["simulate", "irf"])
@@ -272,6 +298,29 @@ class TestTrajectoryCommands:
             f"error [{stage}]: out of memory: Unable to allocate for an array"
             " with shape (1000000000000, 2)\n"
         )
+
+
+#: flags each given a value outside its range, and a shock the fixtures lack
+OUT_OF_RANGE = [
+    ["--horizon", "0"],
+    ["--horizon", "-3"],
+    ["--noise-seed", "-1"],
+    *([f"--tol-riccati={tol}"] for tol in ("nan", "-1", "inf", "-inf")),
+    ["--shock", "3"],
+]
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in MODELS_DIR.glob("*.json")))
+@pytest.mark.parametrize(
+    "command", ["validate", "check", "solve", "simulate", "irf", "var", "oracle-compare"]
+)
+def test_stdout_is_empty_or_one_json_document(capsys, command, fixture):
+    """Rejections go to stderr: stdout carries a whole JSON report or nothing."""
+    base = [command, "--model", str(MODELS_DIR / fixture), "--format", "json"]
+    for flags in [[], *OUT_OF_RANGE]:
+        _, out, _ = run(capsys, *base, *flags)
+        if out:
+            json.loads(out)  # raises on any text that is not exactly one document
 
 
 def parse_csv(text: str) -> list[list[str]]:

@@ -175,6 +175,13 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match="dims"):
             load_model(json.dumps(doc))
 
+    @pytest.mark.parametrize("count", [1.5, True, "1", -1])
+    def test_non_count_dims_rejected(self, count):
+        doc = json.loads((MODELS_DIR / "golden.json").read_text())
+        doc["dims"]["n_k"] = count
+        with pytest.raises(ModelFormatError, match="dims: n_k must be a non-negative"):
+            load_model(json.dumps(doc))
+
     def test_unknown_label_key(self):
         doc = json.loads((MODELS_DIR / "golden.json").read_text())
         doc["labels"] = {"w": ["nope"]}

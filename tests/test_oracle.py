@@ -18,7 +18,6 @@ def test_terminal_conditions(back_spec):
     sol = backward_induction(back_spec, 3)
     assert np.array_equal(sol.P_y_seq[3], symmetrize(back_spec.Q_yy))
     assert np.array_equal(sol.P_z_seq[3], back_spec.Q_yz)
-    assert sol.x0_grid_opt is None
 
 
 def test_single_step_zero_transition():
