@@ -33,7 +33,7 @@ from .model import (
     validate,
     variable_names,
 )
-from .oracle import FiniteHorizonSolution, backward_induction, grid_search_x0
+from .oracle import FiniteHorizonSolution, backward_induction
 from .regulator import RegulatorSolution, riccati_rhs, solve_riccati
 from .simulate import ClosedLoopSystem, Trajectory, build_closed_loop, irf, simulate_path
 from .varrep import VarRepresentation, to_var, var_simulate_check
@@ -62,7 +62,6 @@ __all__ = [
     "anchor_x0",
     "backward_induction",
     "build_closed_loop",
-    "grid_search_x0",
     "irf",
     "load_model",
     "rescale",

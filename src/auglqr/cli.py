@@ -184,33 +184,36 @@ def _render_report(report: dict, fmt: str) -> str:
     return "key,value\n" + "\n".join(lines) + "\n"
 
 
-#: a JSON cell's format spec (plain, integral, pre-rendered text) followed by
+#: a JSON cell's printf spec (plain, integral, pre-rendered text) followed by
 #: the separator after it (within a row, at a row's end, after the last row)
 _JSON_CELLS = np.array(
     [
         spec + sep
         for sep in (",\n      ", "\n    ],\n    [\n      ", "")
-        for spec in ("{:.12g}", "{:.1f}", "{}")
+        for spec in ("%.12g", "%.1f", "%s")
     ],
     dtype=object,
 )
 
 
 def _render_table(columns: list[str], rows: np.ndarray, fmt: str, extra: dict) -> str:
-    """Render a path table through one format call over all of its cells.
+    """Render a path table through one ``%`` pass over all of its cells.
 
     A CSV cell prints as ``_csv_cell`` prints the float.  A JSON cell prints
     as ``_jsonable`` and the json encoder print it: the repr of the value
     rounded to 12 significant digits, or json's NaN, Infinity, -Infinity.
+    The cells fill a template of printf specs, one per cell, in a single
+    ``template % values``; the labels go into the header, never into the
+    template, so a ``%`` in a label is printed as it is.
 
     For most JSON cells ``%.12g`` already prints that repr.  The text of a
     finite normal double has at most 12 significant digits with trailing
     zeros stripped, a decimal of 15 or fewer digits reads back as a double
     whose repr is those digits, and both formats take an exponent below
-    1e-4.  The cells where the two differ get another format spec:
+    1e-4.  The cells where the two differ get another spec:
 
     - integral text with no "." and no "e" ("3", "-0"), which repr ends in
-      ".0": an integer below 9.999e11 prints with ``{:.1f}``, a non-integer
+      ".0": an integer below 9.999e11 prints with ``%.1f``, a non-integer
       within 1e-11 |v| of one (a superset of those that round to it) is
       pre-rendered as ``repr(float(text))``;
     - magnitudes that round into [1e12, 1e16), where ``%g`` takes an
@@ -219,13 +222,18 @@ def _render_table(columns: list[str], rows: np.ndarray, fmt: str, extra: dict) -
       9.999e11 <= |v| < 1e17 (999999999999.9 prints as 1e+12) or
       0 < |v| < 2.3e-308;
     - nan, inf and -inf: pre-rendered as NaN, Infinity and -Infinity.
+
+    Pre-rendered text is computed once per distinct value: a long path
+    that settles at a fixed point repeats the same few subnormals
+    thousands of times.  No two distinct values in that set compare equal,
+    since it holds neither nan nor a zero.
     """
     horizon, width = rows.shape
     flat = rows.ravel()
     if fmt == "csv":
         header = ",".join(_csv_field(c) for c in columns)
-        table = "\n".join([",".join(["{:.12g}"] * width)] * horizon)
-        return header + "\n" + table.format(*flat.tolist()) + "\n"
+        table = "\n".join([",".join(["%.12g"] * width)] * horizon)
+        return header + "\n" + table % tuple(flat.tolist()) + "\n"
 
     values = flat.tolist()
     with np.errstate(invalid="ignore"):  # inf - rint(inf)
@@ -235,14 +243,15 @@ def _render_table(columns: list[str], rows: np.ndarray, fmt: str, extra: dict) -
         near = small & ~integer & (np.abs(flat - np.rint(flat)) <= 1e-11 * size)
         exact = near | (~small & (size < 1e17)) | ((size > 0) & (size < 2.3e-308))
         finite = np.isfinite(flat)
+    text = {v: repr(_sig(v)) for v in set(flat[exact].tolist())}
     for i in np.flatnonzero(exact).tolist():
-        values[i] = repr(_sig(values[i]))
+        values[i] = text[values[i]]
     for i in np.flatnonzero(~finite).tolist():
         values[i] = json.dumps(values[i])
     kind = (integer + 2 * (exact | ~finite)).reshape(horizon, width)
     kind[:, -1] += 3  # row ends
     kind[-1, -1] += 3  # the last cell
-    table = "".join(_JSON_CELLS[kind.ravel()].tolist()).format(*values)
+    table = "".join(_JSON_CELLS[kind.ravel()].tolist()) % tuple(values)
     # json.dumps(indent=2) lays out the rest of the report, with the rows
     # last; the table replaces the empty row list it ends with
     head = json.dumps(_jsonable({**extra, "columns": columns, "rows": []}), indent=2)

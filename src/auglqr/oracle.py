@@ -4,8 +4,7 @@ Backward induction from the terminal condition P_y(T) = Q_yy, P_z(T) = Q_yz
 re-derives the value matrices and the date-0 gains without ever touching the
 fixed-point machinery: the recursions here are written out locally and only
 the linear-algebra kernel is shared with the solver modules, so agreement
-between the two routes is evidence rather than tautology.  A grid search over
-the free initial value x0 plays the same role for the anchoring step.
+between the two routes is evidence rather than tautology.
 
 This module favors transparency over speed; it exists to generate ground
 truth for small models.
@@ -18,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .augmented import AugmentedSolution
 from .model import ModelSpec, symmetrize
-from .regulator import RegulatorSolution
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,65 +89,3 @@ def backward_induction(spec: ModelSpec, horizon: int) -> FiniteHorizonSolution:
         F_y_T=f_y,
         F_z_T=f_z,
     )
-
-
-def grid_search_x0(
-    spec: ModelSpec,
-    reg: RegulatorSolution,
-    aug: AugmentedSolution,
-    z0: np.ndarray,
-    k0: np.ndarray,
-    horizon: int,
-    grid,
-) -> float:
-    """Exhaustively search candidate x0 values for the minimum simulated loss.
-
-    ``grid`` is either a (lo, hi, step) triple or an explicit 1-D array of
-    candidates.  Gains stay fixed at the supplied solutions; every candidate
-    path is simulated in full (no parabola shortcuts), which is the point.
-    Scalar forward block only (n_x = 1).
-    """
-    if spec.dims.n_x != 1:
-        raise ValueError("grid search over x0 supports n_x = 1 only")
-    if isinstance(grid, tuple) and len(grid) == 3:
-        lo, hi, step = grid
-        if step <= 0:
-            raise ValueError(f"grid step must be positive, got {step}")
-        candidates = np.arange(lo, hi + 0.5 * step, step, dtype=float)
-    else:
-        candidates = np.asarray(grid, dtype=float).reshape(-1)
-    if candidates.size == 0:
-        raise ValueError("empty grid")
-
-    dims = spec.dims
-    k0 = np.asarray(k0, dtype=float).reshape(-1)
-    z0 = np.asarray(z0, dtype=float).reshape(-1)
-
-    # closed loop assembled locally, independent of the simulation module
-    n = dims.n_y + dims.n_z
-    t_cl = np.zeros((n, n))
-    t_cl[: dims.n_y, : dims.n_y] = spec.A_yy + spec.B_y @ reg.F_y
-    t_cl[: dims.n_y, dims.n_y :] = spec.A_yz + spec.B_y @ aug.F_z
-    t_cl[dims.n_y :, dims.n_y :] = spec.A_zz
-
-    # one column of states per candidate x0
-    states = np.empty((n, candidates.size))
-    states[: dims.n_k, :] = k0[:, None]
-    states[dims.n_k, :] = candidates
-    states[dims.n_y :, :] = z0[:, None]
-
-    loss = np.zeros(candidates.size)
-    discount = 1.0
-    for _ in range(horizon):
-        y = states[: dims.n_y]
-        z = states[dims.n_y :]
-        u = reg.F_y @ y + aug.F_z @ z
-        quad = (
-            np.einsum("ik,ik->k", y, spec.Q_yy @ y)
-            + 2.0 * np.einsum("ik,ik->k", y, spec.Q_yz @ z)
-            + np.einsum("ik,ik->k", u, spec.R @ u)
-        )
-        loss += 0.5 * discount * quad
-        states = t_cl @ states
-        discount *= spec.beta
-    return float(candidates[int(np.argmin(loss))])

@@ -100,10 +100,15 @@ def state_path(
     """Rows s_0 .. s_{horizon-1} of s_{t+1} = transition s_t (+ drive[t])."""
     states = np.empty((horizon, len(start)))
     states[0] = start
-    for t in range(horizon - 1):
-        np.dot(transition, states[t], out=states[t + 1])
-        if drive is not None:
-            states[t + 1] += drive[t]
+    rows = list(states)  # row views, taken once
+    dot, add = np.dot, np.add
+    if drive is None:
+        for prev, row in zip(rows, rows[1:]):
+            dot(transition, prev, out=row)
+    else:
+        for prev, row, push in zip(rows, rows[1:], drive):
+            dot(transition, prev, out=row)
+            add(row, push, out=row)
     return states
 
 

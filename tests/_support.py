@@ -7,7 +7,14 @@ from pathlib import Path
 
 import numpy as np
 
-from auglqr import Dims, ModelSpec, load_model, run_checks
+from auglqr import (
+    AugmentedSolution,
+    Dims,
+    ModelSpec,
+    RegulatorSolution,
+    load_model,
+    run_checks,
+)
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -239,3 +246,65 @@ def assert_spectra_match(a: np.ndarray, b: np.ndarray, tol: float):
         idx = int(np.argmin(gaps))
         assert gaps[idx] < tol, f"eigenvalue {va} unmatched (closest gap {gaps[idx]:.3e})"
         eb.pop(idx)
+
+
+def grid_search_x0(
+    spec: ModelSpec,
+    reg: RegulatorSolution,
+    aug: AugmentedSolution,
+    z0: np.ndarray,
+    k0: np.ndarray,
+    horizon: int,
+    grid,
+) -> float:
+    """Exhaustively search candidate x0 values for the minimum simulated loss.
+
+    ``grid`` is either a (lo, hi, step) triple or an explicit 1-D array of
+    candidates.  Gains stay fixed at the supplied solutions; every candidate
+    path is simulated in full (no parabola shortcuts), which is the point.
+    Scalar forward block only (n_x = 1).
+    """
+    if spec.dims.n_x != 1:
+        raise ValueError("grid search over x0 supports n_x = 1 only")
+    if isinstance(grid, tuple) and len(grid) == 3:
+        lo, hi, step = grid
+        if step <= 0:
+            raise ValueError(f"grid step must be positive, got {step}")
+        candidates = np.arange(lo, hi + 0.5 * step, step, dtype=float)
+    else:
+        candidates = np.asarray(grid, dtype=float).reshape(-1)
+    if candidates.size == 0:
+        raise ValueError("empty grid")
+
+    dims = spec.dims
+    k0 = np.asarray(k0, dtype=float).reshape(-1)
+    z0 = np.asarray(z0, dtype=float).reshape(-1)
+
+    # closed loop assembled locally, independent of the simulation module
+    n = dims.n_y + dims.n_z
+    t_cl = np.zeros((n, n))
+    t_cl[: dims.n_y, : dims.n_y] = spec.A_yy + spec.B_y @ reg.F_y
+    t_cl[: dims.n_y, dims.n_y :] = spec.A_yz + spec.B_y @ aug.F_z
+    t_cl[dims.n_y :, dims.n_y :] = spec.A_zz
+
+    # one column of states per candidate x0
+    states = np.empty((n, candidates.size))
+    states[: dims.n_k, :] = k0[:, None]
+    states[dims.n_k, :] = candidates
+    states[dims.n_y :, :] = z0[:, None]
+
+    loss = np.zeros(candidates.size)
+    discount = 1.0
+    for _ in range(horizon):
+        y = states[: dims.n_y]
+        z = states[dims.n_y :]
+        u = reg.F_y @ y + aug.F_z @ z
+        quad = (
+            np.einsum("ik,ik->k", y, spec.Q_yy @ y)
+            + 2.0 * np.einsum("ik,ik->k", y, spec.Q_yz @ z)
+            + np.einsum("ik,ik->k", u, spec.R @ u)
+        )
+        loss += 0.5 * discount * quad
+        states = t_cl @ states
+        discount *= spec.beta
+    return float(candidates[int(np.argmin(loss))])

@@ -13,7 +13,6 @@ from auglqr import (
     anchor_x0,
     backward_induction,
     build_closed_loop,
-    grid_search_x0,
     riccati_rhs,
     run_checks,
     simulate_path,
@@ -31,6 +30,7 @@ from _support import (
     MODELS_DIR,
     assert_spectra_match,
     dense_stein_solution,
+    grid_search_x0,
     load_fixture,
 )
 

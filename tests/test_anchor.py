@@ -6,13 +6,12 @@ import pytest
 from auglqr import (
     SingularMatrixError,
     anchor_x0,
-    grid_search_x0,
     solve_riccati,
     solve_sylvester,
 )
 from auglqr.kernel import inf_norm
 
-from _support import GOLDEN_X0, random_stabilizable_model, scalar_spec
+from _support import GOLDEN_X0, grid_search_x0, random_stabilizable_model, scalar_spec
 
 
 def solved(spec):

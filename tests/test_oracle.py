@@ -4,14 +4,13 @@ import pytest
 from auglqr import (
     anchor_x0,
     backward_induction,
-    grid_search_x0,
     solve_riccati,
     solve_sylvester,
 )
 from auglqr.kernel import inf_norm
 from auglqr.model import symmetrize
 
-from _support import GOLDEN_F_Y, GOLDEN_X0, scalar_spec
+from _support import GOLDEN_F_Y, GOLDEN_X0, grid_search_x0, scalar_spec
 
 
 def test_terminal_conditions(back_spec):

@@ -10,14 +10,24 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auglqr import irf, simulate_path
+from auglqr import (
+    anchor_x0,
+    build_closed_loop,
+    irf,
+    simulate_path,
+    solve_riccati,
+    solve_sylvester,
+)
 from auglqr.cli import _csv_cell, _jsonable, _render_table, _trajectory_table
+
+from _support import random_stabilizable_model
 
 
 def old_render_table(columns, rows, fmt, extra):
@@ -53,7 +63,7 @@ cells = st.one_of(
     st.floats(),
 )
 labels = st.text(
-    alphabet=st.one_of(st.sampled_from(list('ab,"\r\n \'\\{}é€π')), st.characters()),
+    alphabet=st.one_of(st.sampled_from(list('ab,"\r\n \'\\{}%é€π')), st.characters()),
     max_size=6,
 )
 
@@ -112,4 +122,46 @@ def test_json_table_matches_per_cell_encoder_at_long_horizon(request, solved, pa
     extra = {"loss": traj.loss, "truncation_bound": traj.truncation_bound}
     assert _render_table(columns, rows, "json", extra) == old_render_table(
         columns, rows, "json", extra
+    )
+
+
+def test_repeated_exact_values_match_per_cell_encoder():
+    # each pre-rendered value many times over, as on a path stuck at a
+    # subnormal fixed point, among zeros of both signs and non-finite cells
+    repeated = [5e-324, -1.5e-310, 2.2e-308, 3.0000000000001, -41.99999999999999,
+                12345678901234.5, -9999999999999998.0, 999999999999.9]
+    others = [0.0, -0.0, math.nan, math.inf, -math.inf, 0.25]
+    rng = np.random.default_rng(7)
+    cells = rng.permutation(np.resize(repeated * 3 + others, 600 * 5))
+    rows = np.hstack([np.arange(600.0)[:, None], cells.reshape(600, 5)])
+    columns = ["t", "a%s", "b%%", "{0}", "c", "d"]
+    extra = {"loss": 5e-324, "truncation_bound": math.inf}
+    for fmt in ("json", "csv"):
+        assert _render_table(columns, rows, fmt, extra) == old_render_table(
+            columns, rows, fmt, extra
+        )
+
+
+@pytest.fixture(scope="module")
+def persistent_2222():
+    """A seeded (2,2,2,2) model whose forcing decays like 0.999^t, as in the
+    simulate-long benchmark: all 13 columns stay full-width numbers."""
+    spec = random_stabilizable_model(np.random.default_rng(2222), 2, 2, 2, 2, 0.95)
+    a_zz = spec.A_zz * (0.999 / np.max(np.abs(np.linalg.eigvals(spec.A_zz))))
+    spec = replace(spec, A_zz=a_zz)
+    reg = solve_riccati(spec)
+    aug = solve_sylvester(spec, reg)
+    system = build_closed_loop(spec, reg, aug, anchor_x0(spec, reg, aug))
+    return spec, reg, aug, system
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_wide_table_matches_per_cell_renderer_at_long_horizon(persistent_2222, fmt):
+    spec, reg, aug, system = persistent_2222
+    traj = simulate_path(system, spec, reg, aug, 10_000)
+    columns, rows = _trajectory_table(traj, spec)
+    assert rows.shape == (10_000, 13)
+    extra = {"loss": traj.loss, "truncation_bound": traj.truncation_bound}
+    assert _render_table(columns, rows, fmt, extra) == old_render_table(
+        columns, rows, fmt, extra
     )

@@ -6,6 +6,7 @@ import pytest
 from auglqr import (
     ClosedLoopSystem,
     DivergenceError,
+    InstabilityError,
     anchor_x0,
     backward_induction,
     build_closed_loop,
@@ -90,6 +91,22 @@ class TestBuildClosedLoop:
         reg, aug, anchored, system = full_solve(spec)
         assert np.array_equal(reg.F_y, [[0.0]])
         assert system.T_cl[0, 0] == 0.0
+
+    # the library's own guard for callers that skip run_checks and the
+    # Riccati solver's stability check
+    def test_destabilizing_feedback_is_rejected(self, golden_solved):
+        spec, reg, aug, anchored, _ = golden_solved
+        pushed = replace(reg, F_y=np.array([[1.0]]))  # A_yy + B_y F_y = 2
+        with pytest.raises(InstabilityError) as exc:
+            build_closed_loop(spec, pushed, aug, anchored)
+        assert str(exc.value) == "closed feedback loop unstable: sqrt(beta) * 2 >= 1"
+
+    def test_explosive_forcing_block_is_rejected(self, golden_solved):
+        spec, reg, aug, anchored, _ = golden_solved
+        explosive = replace(spec, A_zz=np.array([[1.5]]))
+        with pytest.raises(InstabilityError) as exc:
+            build_closed_loop(explosive, reg, aug, anchored)
+        assert str(exc.value) == "forcing block unstable: sqrt(beta) * 1.5 >= 1"
 
 
 class TestSimulatePath:
