@@ -29,7 +29,6 @@ from .model import (
     ValidationReport,
     load_model,
     rescale,
-    save_model,
     validate,
     variable_names,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "rescale",
     "riccati_rhs",
     "run_checks",
-    "save_model",
     "simulate_path",
     "solve_riccati",
     "solve_sylvester",

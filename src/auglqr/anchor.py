@@ -27,7 +27,7 @@ from .regulator import RegulatorSolution
 
 
 @dataclass(frozen=True, eq=False)
-class AnchoredState:
+class AnchoredState(kernel.Frozen):
     """Optimal date-0 values: x0, the stacked y0 = (k0, x0), and mu0."""
 
     x0: np.ndarray
@@ -70,5 +70,4 @@ def anchor_x0(
 
     y0 = np.concatenate([k0, x0])
     mu0 = reg.P_y @ y0 + aug.P_z @ z0
-    kernel.read_only(x0, y0, mu0)
     return AnchoredState(x0=x0, y0=y0, mu0=mu0)

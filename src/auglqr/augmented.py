@@ -30,7 +30,7 @@ from .regulator import BLOWUP, DEFAULT_TOL, MAX_ITER, RegulatorSolution, gain
 
 
 @dataclass(frozen=True, eq=False)
-class AugmentedSolution:
+class AugmentedSolution(kernel.Frozen):
     """Cross value matrix P_z and feedforward gain F_z; ``residual`` is the
     Stein residual ||P_z - Q_yz - b Abar' (P_y A_yz + P_z A_zz)||_inf."""
 
@@ -79,8 +79,7 @@ def solve_sylvester(spec: ModelSpec, reg: RegulatorSolution) -> AugmentedSolutio
         scale = kernel.inf_norm(p_next)
         if not math.isfinite(diff) or scale > BLOWUP:
             raise DivergenceError(
-                f"Sylvester iteration diverged at iteration {iteration}",
-                residual=diff,
+                f"Sylvester iteration diverged at iteration {iteration}"
             )
         p_z = p_next
         if diff <= DEFAULT_TOL * (1.0 + scale):
@@ -89,13 +88,11 @@ def solve_sylvester(spec: ModelSpec, reg: RegulatorSolution) -> AugmentedSolutio
         n_k = n_k @ n_k
     else:
         raise DivergenceError(
-            f"Sylvester iteration did not converge within {MAX_ITER} iterations",
-            residual=diff,
+            f"Sylvester iteration did not converge within {MAX_ITER} iterations"
         )
 
     residual = _sylvester_residual(spec, reg, abar, p_z)
     f_z = feedforward_gain(spec, reg, p_z)
-    kernel.read_only(p_z, f_z)
     return AugmentedSolution(P_z=p_z, F_z=f_z, iterations=iteration, residual=residual)
 
 

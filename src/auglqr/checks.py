@@ -22,7 +22,7 @@ from .model import ModelSpec
 
 
 @dataclass(frozen=True, eq=False)
-class CheckReport:
+class CheckReport(kernel.Frozen):
     controllable: bool
     controllability_rank: int
     required_rank: int

@@ -25,11 +25,7 @@ class SingularMatrixError(AugLQRError):
 
 
 class DivergenceError(AugLQRError):
-    """An iteration failed to converge; ``residual`` holds the last step size."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """An iteration failed to converge."""
 
 
 class InstabilityError(AugLQRError):

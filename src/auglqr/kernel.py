@@ -4,10 +4,13 @@ All operations work on 2-D float64 numpy arrays; ``rank`` also takes complex
 ones.  Eigenvalues, ranks and solves delegate to the LAPACK routines behind
 ``numpy.linalg``, the only numerical dependency at run time; the
 matrix-equation logic built on top of them (the Riccati and Stein doublings)
-lives in the solver modules.
+lives in the solver modules.  :class:`Frozen` is the base of every container
+the pipeline passes from stage to stage.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,10 +33,24 @@ def inf_norm(m: np.ndarray) -> float:
     return float(np.abs(m).sum(axis=1).max())
 
 
-def read_only(*arrays: np.ndarray) -> None:
-    """Clear the writeable flag of each array; views taken later inherit it."""
-    for arr in arrays:
-        arr.flags.writeable = False
+@dataclass(frozen=True, eq=False)
+class Frozen:
+    """Base of the pipeline's containers: a frozen dataclass, equal only to
+    itself, whose construction makes every array it holds read-only.
+
+    That covers each ndarray field, each ndarray in a tuple field, and every
+    array those are views of, so no view taken later can write either.
+    Subclasses are declared ``@dataclass(frozen=True, eq=False)``; one that
+    prepares its fields in ``__post_init__`` calls this one last.
+    """
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            for arr in value if isinstance(value, tuple) else (value,):
+                while isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
+                    arr = arr.base
 
 
 def eigenvalues(m: np.ndarray) -> np.ndarray:

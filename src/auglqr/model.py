@@ -12,9 +12,9 @@ the forward-looking variables x; z holds exogenous forcing variables whose
 dynamics never respond to y or u (the zero blocks above are structural and
 never stored).  All variables are deviations from a steady state.
 
-Everything here is an immutable value: arrays are frozen after construction,
-and every operation is a pure function, so instances are safe to share across
-threads.
+Everything here is an immutable value: a model copies its arrays at
+construction and :class:`kernel.Frozen` makes the copies read-only; every
+operation is a pure function, so instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -77,17 +77,11 @@ def _expected_shapes(dims: Dims) -> dict[str, tuple[int, int]]:
     }
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=float, copy=True)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
-class ModelSpec:
-    """A full problem instance.
+class ModelSpec(kernel.Frozen):
+    """A full problem instance, equal to any instance with the same values.
 
-    Matrices are stored exactly as given (row-major float64, read-only);
+    Matrices are stored exactly as given (float64 copies, read-only);
     :func:`validate` reports any invariant violations instead of raising at
     construction time, so a spec can always be built and then inspected.
     """
@@ -107,18 +101,20 @@ class ModelSpec:
 
     def __post_init__(self):
         expected = _expected_shapes(self.dims)
+        # np.array copies, so freezing never reaches the caller's arrays
         for name in _MATRIX_FIELDS:
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             if arr.size == 0 and 0 in expected[name]:
                 # empty slots may arrive as flat [] -- give them their true shape
                 arr = arr.reshape(expected[name])
             elif arr.ndim != 2:
                 arr = np.atleast_2d(arr)
-            object.__setattr__(self, name, _freeze(arr))
+            object.__setattr__(self, name, arr)
         for name in _VECTOR_FIELDS:
-            vec = np.asarray(getattr(self, name), dtype=float).reshape(-1)
-            object.__setattr__(self, name, _freeze(vec))
+            vec = np.array(getattr(self, name), dtype=float).reshape(-1)
+            object.__setattr__(self, name, vec)
         object.__setattr__(self, "beta", float(self.beta))
+        super().__post_init__()
 
     def __eq__(self, other):
         if not isinstance(other, ModelSpec):
@@ -189,6 +185,11 @@ def validate(spec: ModelSpec) -> ValidationReport:
         elif v.size and not np.all(np.isfinite(v)):
             i = int(np.argwhere(~np.isfinite(v))[0][0])
             out.append(f"{name} has non-finite entry at [{i}]")
+    labels = spec.labels or {}
+    for key in _LABEL_KEYS:
+        n = getattr(spec.dims, f"n_{key}")
+        if key in labels and len(labels[key]) != n:
+            out.append(f"labels.{key} has {len(labels[key])} names, expected {n}")
 
     if not (math.isfinite(spec.beta) and 0.0 < spec.beta <= 1.0):
         out.append(f"beta must lie in (0, 1], got {spec.beta}")
@@ -224,22 +225,14 @@ def rescale(spec: ModelSpec) -> ModelSpec:
 def variable_names(spec: ModelSpec) -> dict[str, list[str]]:
     """Per-group variable names: labels from the model file, else k1.., x1.., z1.., u1..
 
+    :func:`validate` checks that each given group has one name per variable.
     The "y" entry stacks the k names on top of the x names.
     """
     labels = spec.labels or {}
-    counts = {
-        "k": spec.dims.n_k,
-        "x": spec.dims.n_x,
-        "z": spec.dims.n_z,
-        "u": spec.dims.n_u,
-    }
     names = {}
-    for key, n in counts.items():
-        given = labels.get(key)
-        if given is not None and len(given) == n:
-            names[key] = list(given)
-        else:
-            names[key] = [f"{key}{i + 1}" for i in range(n)]
+    for key in _LABEL_KEYS:
+        n = getattr(spec.dims, f"n_{key}")
+        names[key] = list(labels.get(key, [f"{key}{i + 1}" for i in range(n)]))
     names["y"] = names["k"] + names["x"]
     return names
 
@@ -307,8 +300,8 @@ def _parse_labels(value) -> dict:
 def load_model(document: str) -> ModelSpec:
     """Parse a UTF-8 JSON model document into a ModelSpec.
 
-    Numbers parse as IEEE-754 doubles, so a load/save round trip preserves
-    every representable entry bit-exactly.  Schema violations raise
+    Numbers parse as IEEE-754 doubles, so every entry written with Python's
+    ``repr`` of a double loads back bit-exactly.  Schema violations raise
     :class:`ModelFormatError` naming the offending field; invariant violations
     are deferred to :func:`validate`.
     """
@@ -333,23 +326,3 @@ def load_model(document: str) -> ModelSpec:
     labels = _parse_labels(raw["labels"]) if "labels" in raw else None
 
     return ModelSpec(dims=dims, beta=beta, labels=labels, **matrices, **vectors)
-
-
-def save_model(spec: ModelSpec) -> str:
-    """Serialize a ModelSpec back to the JSON model-file format."""
-    doc = {
-        "beta": spec.beta,
-        "dims": {
-            "n_k": spec.dims.n_k,
-            "n_x": spec.dims.n_x,
-            "n_z": spec.dims.n_z,
-            "n_u": spec.dims.n_u,
-        },
-    }
-    for name in _MATRIX_FIELDS:
-        doc[name] = getattr(spec, name).tolist()
-    for name in _VECTOR_FIELDS:
-        doc[name] = getattr(spec, name).tolist()
-    if spec.labels is not None:
-        doc["labels"] = spec.labels
-    return json.dumps(doc, indent=2) + "\n"

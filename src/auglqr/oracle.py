@@ -21,12 +21,12 @@ from .model import ModelSpec, symmetrize
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteHorizonSolution:
+class FiniteHorizonSolution(kernel.Frozen):
     """Value-matrix sequences P(t), t = 0..horizon, and the date-0 gains."""
 
     horizon: int
-    P_y_seq: list[np.ndarray]
-    P_z_seq: list[np.ndarray]
+    P_y_seq: tuple[np.ndarray, ...]
+    P_z_seq: tuple[np.ndarray, ...]
     F_y_T: np.ndarray
     F_z_T: np.ndarray
 
@@ -36,12 +36,13 @@ def backward_induction(spec: ModelSpec, horizon: int) -> FiniteHorizonSolution:
 
     Each step applies, at the next-period value matrices,
 
-        P_y(t) = Q_yy + b A' P_y(t+1) A - b A' P_y(t+1) B S^{-1} b B' P_y(t+1) A
+        P_y(t) = Q_yy + b A' P_y(t+1) A + b A' P_y(t+1) B F_y(t)
         P_z(t) = Q_yz + b Abar_t' P_y(t+1) A_yz + b Abar_t' P_z(t+1) A_zz
 
-    with S = R + b B' P_y(t+1) B, the time-t gains taken from P(t+1), and
-    Abar_t = A + B F_y(t).  The returned gains are the date-0 ones, which
-    converge to the stationary solution as the horizon grows.
+    with the time-t gains taken from P(t+1), F_y(t) = -S^{-1} b B' P_y(t+1) A
+    for S = R + b B' P_y(t+1) B, and Abar_t = A + B F_y(t).  The returned
+    gains are the date-0 ones, which converge to the stationary solution as
+    the horizon grows.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -62,12 +63,9 @@ def backward_induction(spec: ModelSpec, horizon: int) -> FiniteHorizonSolution:
     for t in reversed(range(horizon)):
         p_next = p_y_seq[t + 1]
         s = symmetrize(r + beta * (b.T @ p_next @ b))
-        gain_rhs = beta * (b.T @ p_next @ a)
-        f_y = -kernel.solve_linear(s, gain_rhs)
+        f_y = -kernel.solve_linear(s, beta * (b.T @ p_next @ a))
         p_y_seq[t] = symmetrize(
-            q
-            + beta * (a.T @ p_next @ a)
-            - beta * (a.T @ p_next @ b) @ kernel.solve_linear(s, gain_rhs)
+            q + beta * (a.T @ p_next @ a) + beta * (a.T @ p_next @ b) @ f_y
         )
         abar = a + b @ f_y
         if dims.n_z:
@@ -84,8 +82,8 @@ def backward_induction(spec: ModelSpec, horizon: int) -> FiniteHorizonSolution:
 
     return FiniteHorizonSolution(
         horizon=horizon,
-        P_y_seq=p_y_seq,
-        P_z_seq=p_z_seq,
+        P_y_seq=tuple(p_y_seq),
+        P_z_seq=tuple(p_z_seq),
         F_y_T=f_y,
         F_z_T=f_z,
     )

@@ -44,7 +44,7 @@ STABILITY_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class RegulatorSolution:
+class RegulatorSolution(kernel.Frozen):
     """Riccati fixed point P_y (symmetric PSD) and feedback gain F_y; the
     ``residual`` is ||riccati_rhs(P_y) - P_y||_inf."""
 
@@ -73,9 +73,8 @@ def solve_riccati(spec: ModelSpec, tol: float = DEFAULT_TOL) -> RegulatorSolutio
     """Solve for the stabilizing fixed point by structure-preserving doubling.
 
     Stops when ||H_{k+1} - H_k||_inf <= tol * (1 + ||H_{k+1}||_inf).  Raises
-    :class:`DivergenceError` (carrying the last step size) when the doubling
-    explodes, exhausts ``MAX_ITER`` steps or returns a matrix that is not
-    positive semidefinite, and :class:`InstabilityError` when the converged
+    :class:`DivergenceError` when the doubling explodes, exhausts ``MAX_ITER``
+    steps or returns a matrix that is not positive semidefinite, and :class:`InstabilityError` when the converged
     gain fails the closed-loop spectral-radius margin.
     """
     root = math.sqrt(spec.beta)
@@ -96,8 +95,7 @@ def solve_riccati(spec: ModelSpec, tol: float = DEFAULT_TOL) -> RegulatorSolutio
         if not math.isfinite(diff) or scale > BLOWUP:
             raise DivergenceError(
                 f"Riccati iteration diverged at iteration {iteration}"
-                f" (step {diff:.3e})",
-                residual=diff,
+                f" (step {diff:.3e})"
             )
         h_k = h_next
         if diff <= tol * (1.0 + scale):
@@ -105,8 +103,7 @@ def solve_riccati(spec: ModelSpec, tol: float = DEFAULT_TOL) -> RegulatorSolutio
     else:
         raise DivergenceError(
             f"Riccati iteration did not converge within {MAX_ITER} iterations"
-            f" (last step {diff:.3e})",
-            residual=diff,
+            f" (last step {diff:.3e})"
         )
 
     # H_k is symmetric by construction and PSD up to roundoff; losing
@@ -114,8 +111,7 @@ def solve_riccati(spec: ModelSpec, tol: float = DEFAULT_TOL) -> RegulatorSolutio
     if np.linalg.eigvalsh(h_k).min() < -1e-10 * max(1.0, scale):
         raise DivergenceError(
             f"Riccati solution lost positive semidefiniteness"
-            f" after {iteration} iterations",
-            residual=diff,
+            f" after {iteration} iterations"
         )
     f = gain(spec, h_k, spec.beta * (spec.B_y.T @ h_k @ spec.A_yy))
     radius = kernel.spectral_radius(spec.A_yy + spec.B_y @ f)
@@ -126,5 +122,4 @@ def solve_riccati(spec: ModelSpec, tol: float = DEFAULT_TOL) -> RegulatorSolutio
             f" >= {limit:.12g}"
         )
     residual = kernel.inf_norm(riccati_rhs(h_k, spec) - h_k)
-    kernel.read_only(h_k, f)
     return RegulatorSolution(P_y=h_k, F_y=f, iterations=iteration, residual=residual)

@@ -34,14 +34,14 @@ from .regulator import RegulatorSolution
 
 
 @dataclass(frozen=True, eq=False)
-class ClosedLoopSystem:
+class ClosedLoopSystem(kernel.Frozen):
     T_cl: np.ndarray
     impulse_loading: np.ndarray
     state0: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(kernel.Frozen):
     """Time-indexed paths for t = 0..horizon-1 plus the truncated loss.
 
     ``truncation_bound`` is a geometric estimate of the discarded tail of the
@@ -87,7 +87,6 @@ def build_closed_loop(
     loading = np.zeros((n_y + n_z, n_z))
     loading[n_y:, :] = np.eye(n_z)
     state0 = np.concatenate([anchored.y0, spec.z0])
-    kernel.read_only(t_cl, loading, state0)
     return ClosedLoopSystem(T_cl=t_cl, impulse_loading=loading, state0=state0)
 
 
@@ -146,7 +145,6 @@ def simulate_path(
             raise DivergenceError(
                 f"simulated state overflowed at t = {int(np.argmax(overflowed))}"
             )
-        kernel.read_only(states)
         y, z = states[:, :n_y], states[:, n_y:]
         u = y @ reg.F_y.T + z @ aug.F_z.T
         mu = y @ reg.P_y.T + z @ aug.P_z.T
@@ -157,7 +155,6 @@ def simulate_path(
         )
         loss = 0.5 * float(spec.beta ** np.arange(horizon) @ quad)
     peak_quad = float(np.max(np.abs(quad)))
-    kernel.read_only(u, mu)
 
     # discounted quadratic terms decay like (sqrt(beta) * rho)^(2t)
     rho = math.sqrt(spec.beta) * kernel.spectral_radius(sys.T_cl)
@@ -194,5 +191,4 @@ def irf(
     unit[shock_index] = 1.0
     anchored = anchor_x0(spec, reg, aug, k0=np.zeros(spec.dims.n_k), z0=unit)
     start = np.concatenate([anchored.y0, unit])
-    kernel.read_only(start)
     return simulate_path(replace(sys, state0=start), spec, reg, aug, horizon)

@@ -30,7 +30,7 @@ from .simulate import ClosedLoopSystem, simulate_path, state_path
 
 
 @dataclass(frozen=True, eq=False)
-class VarRepresentation:
+class VarRepresentation(kernel.Frozen):
     """Autoregressive form of the closed loop in the observable basis (y, u)."""
 
     T_var: np.ndarray
@@ -72,7 +72,6 @@ def to_var(
     t_var = m_inv @ sys.T_cl @ m
     shock_loading_var = m_inv @ sys.impulse_loading
     z_from_y = -fz_inv_fy
-    kernel.read_only(t_var, shock_loading_var, m, m_inv, z_from_y, fz_inv)
     return VarRepresentation(
         T_var=t_var,
         shock_loading_var=shock_loading_var,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -12,9 +13,14 @@ from auglqr import (
     Dims,
     ModelSpec,
     RegulatorSolution,
+    anchor_x0,
+    build_closed_loop,
     load_model,
     run_checks,
+    solve_riccati,
+    solve_sylvester,
 )
+from auglqr.model import _MATRIX_FIELDS, _VECTOR_FIELDS
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -47,6 +53,32 @@ HARD_CASES = {
 
 def load_fixture(name: str) -> ModelSpec:
     return load_model((MODELS_DIR / name).read_text(encoding="utf-8"))
+
+
+def save_model(spec: ModelSpec) -> str:
+    """Serialize a ModelSpec to the JSON model-file format."""
+    doc = {
+        "beta": spec.beta,
+        "dims": {
+            "n_k": spec.dims.n_k,
+            "n_x": spec.dims.n_x,
+            "n_z": spec.dims.n_z,
+            "n_u": spec.dims.n_u,
+        },
+    }
+    for name in _MATRIX_FIELDS + _VECTOR_FIELDS:
+        doc[name] = getattr(spec, name).tolist()
+    if spec.labels is not None:
+        doc["labels"] = spec.labels
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def full_solve(spec: ModelSpec):
+    """(reg, aug, anchored, system): Riccati, Sylvester, anchor, closed loop."""
+    reg = solve_riccati(spec)
+    aug = solve_sylvester(spec, reg)
+    anchored = anchor_x0(spec, reg, aug)
+    return reg, aug, anchored, build_closed_loop(spec, reg, aug, anchored)
 
 
 def scalar_riccati_root(beta: float, a: float, b: float, q: float, r: float) -> float:

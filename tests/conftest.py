@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from auglqr import anchor_x0, build_closed_loop, solve_riccati, solve_sylvester
+from auglqr import solve_riccati, solve_sylvester
 
-from _support import SUITE_DIMS, load_fixture, random_stabilizable_model
+from _support import SUITE_DIMS, full_solve, load_fixture, random_stabilizable_model
 
 
 @pytest.fixture(scope="session")
@@ -41,17 +41,9 @@ def solved_suite(suite_models):
 
 @pytest.fixture(scope="session")
 def golden_solved(golden_spec):
-    reg = solve_riccati(golden_spec)
-    aug = solve_sylvester(golden_spec, reg)
-    anchored = anchor_x0(golden_spec, reg, aug)
-    system = build_closed_loop(golden_spec, reg, aug, anchored)
-    return golden_spec, reg, aug, anchored, system
+    return (golden_spec, *full_solve(golden_spec))
 
 
 @pytest.fixture(scope="session")
 def back_solved(back_spec):
-    reg = solve_riccati(back_spec)
-    aug = solve_sylvester(back_spec, reg)
-    anchored = anchor_x0(back_spec, reg, aug)
-    system = build_closed_loop(back_spec, reg, aug, anchored)
-    return back_spec, reg, aug, anchored, system
+    return (back_spec, *full_solve(back_spec))

@@ -9,10 +9,9 @@ from pathlib import Path
 import pytest
 
 import auglqr
-from auglqr import save_model
 from auglqr.cli import main
 
-from _support import MODELS_DIR, scalar_spec
+from _support import MODELS_DIR, save_model, scalar_spec
 
 GOLDEN = str(MODELS_DIR / "golden.json")
 BACK = str(MODELS_DIR / "back.json")
@@ -132,6 +131,31 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate", "--model", str(path))
         assert code == 1
         assert "R not positive definite" in out
+
+    def test_label_count_mismatch_is_a_violation(self, capsys, tmp_path):
+        doc = json.loads((MODELS_DIR / "golden.json").read_text())
+        doc["labels"]["x"] = []
+        doc["labels"]["z"] = ["a", "b"]
+        path = tmp_path / "miscounted.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "validate", "--model", str(path))
+        assert code == 1
+        assert json.loads(out)["violations"] == [
+            "labels.x has 0 names, expected 1",
+            "labels.z has 2 names, expected 1",
+        ]
+
+    def test_missing_label_group_gets_generated_names(self, capsys, tmp_path):
+        doc = json.loads((MODELS_DIR / "golden.json").read_text())
+        del doc["labels"]["z"]
+        path = tmp_path / "unnamed_z.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "validate", "--model", str(path))[0] == 0
+        code, out, _ = run(
+            capsys, "simulate", "--model", str(path), "--horizon", "1", "--format", "csv"
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "t,x,z1,u,mu_x"
 
 
 class TestCheckCommand:

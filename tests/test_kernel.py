@@ -1,6 +1,11 @@
+import importlib
+import pkgutil
+from dataclasses import dataclass, fields, is_dataclass
+
 import numpy as np
 import pytest
 
+import auglqr
 from auglqr import DimensionError, SingularMatrixError
 from auglqr import kernel
 
@@ -106,3 +111,67 @@ def test_inf_norm():
     assert kernel.inf_norm(np.array([[1.0, -2.0], [3.0, 4.0]])) == 7.0
     assert kernel.inf_norm(np.array([1.0, -5.0])) == 5.0
     assert kernel.inf_norm(np.zeros((0, 2))) == 0.0
+
+
+class TestFrozen:
+    def test_construction_freezes_fields_tuples_and_bases(self):
+        @dataclass(frozen=True, eq=False)
+        class Box(kernel.Frozen):
+            view: np.ndarray
+            seq: tuple
+            note: str
+
+        base = np.zeros((3, 2))
+        loose = np.ones(2)
+        box = Box(view=base[:, 0], seq=(loose, 1.0), note="x")
+        assert not box.view.flags.writeable
+        assert not base.flags.writeable
+        assert not loose.flags.writeable
+        assert box != Box(view=box.view, seq=box.seq, note="x")  # identity equality
+
+    def test_every_array_container_uses_the_rule(self):
+        modules = [
+            importlib.import_module(f"auglqr.{info.name}")
+            for info in pkgutil.iter_modules(auglqr.__path__)
+        ]
+        holders = {
+            obj
+            for module in modules
+            for obj in vars(module).values()
+            if isinstance(obj, type)
+            and is_dataclass(obj)
+            and obj.__module__ == module.__name__
+            and any("ndarray" in str(f.type) for f in fields(obj))
+        }
+        assert {cls.__name__ for cls in holders} == {
+            "AnchoredState",
+            "AugmentedSolution",
+            "CheckReport",
+            "ClosedLoopSystem",
+            "FiniteHorizonSolution",
+            "ModelSpec",
+            "RegulatorSolution",
+            "Trajectory",
+            "VarRepresentation",
+        }
+        for cls in holders:
+            assert issubclass(cls, kernel.Frozen), cls.__name__
+
+    def test_model_copies_before_freezing(self):
+        a_yy = np.array([[0.5]])
+        spec = auglqr.ModelSpec(
+            dims=auglqr.Dims(n_k=1, n_x=0, n_z=0, n_u=1),
+            beta=0.99,
+            A_yy=a_yy,
+            A_yz=np.zeros((1, 0)),
+            A_zz=np.zeros((0, 0)),
+            B_y=[[1.0]],
+            Q_yy=[[1.0]],
+            Q_yz=[],
+            R=[[1.0]],
+            k0=[1.0],
+            z0=[],
+        )
+        assert a_yy.flags.writeable
+        assert not spec.A_yy.flags.writeable
+        assert not spec.Q_yz.flags.writeable and spec.Q_yz.shape == (1, 0)

@@ -12,12 +12,11 @@ from auglqr import (
     ModelSpec,
     load_model,
     rescale,
-    save_model,
     validate,
     variable_names,
 )
 
-from _support import MODELS_DIR, scalar_spec
+from _support import MODELS_DIR, save_model, scalar_spec
 
 
 def two_dim_spec(q_yy, r=None):

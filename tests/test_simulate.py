@@ -7,13 +7,10 @@ from auglqr import (
     ClosedLoopSystem,
     DivergenceError,
     InstabilityError,
-    anchor_x0,
     backward_induction,
     build_closed_loop,
     irf,
     simulate_path,
-    solve_riccati,
-    solve_sylvester,
 )
 from auglqr.kernel import solve_linear
 from auglqr.model import symmetrize
@@ -24,18 +21,11 @@ from _support import (
     GOLDEN_LOSS,
     GOLDEN_TCL_YZ,
     GOLDEN_X0,
+    full_solve,
     random_stabilizable_model,
     reference_path,
     scalar_spec,
 )
-
-
-def full_solve(spec):
-    reg = solve_riccati(spec)
-    aug = solve_sylvester(spec, reg)
-    anchored = anchor_x0(spec, reg, aug)
-    system = build_closed_loop(spec, reg, aug, anchored)
-    return reg, aug, anchored, system
 
 
 def oracle_loss(spec, anchored_x0, horizon):

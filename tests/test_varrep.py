@@ -6,11 +6,7 @@ import pytest
 from auglqr import (
     DimensionError,
     SingularMatrixError,
-    anchor_x0,
-    build_closed_loop,
     simulate_path,
-    solve_riccati,
-    solve_sylvester,
     to_var,
     var_simulate_check,
 )
@@ -20,17 +16,10 @@ from _support import (
     GOLDEN_F_Y,
     GOLDEN_F_Z,
     assert_spectra_match,
+    full_solve,
     random_stabilizable_model,
     scalar_spec,
 )
-
-
-def full_solve(spec):
-    reg = solve_riccati(spec)
-    aug = solve_sylvester(spec, reg)
-    anchored = anchor_x0(spec, reg, aug)
-    system = build_closed_loop(spec, reg, aug, anchored)
-    return reg, aug, anchored, system
 
 
 class TestToVar:
