@@ -384,7 +384,7 @@ def _dispatch(args, at) -> tuple[str, int]:
     columns, rows = _trajectory_table(traj, spec)
     extra.update({"loss": traj.loss, "truncation_bound": traj.truncation_bound})
     if args.format == "csv":
-        _diag(f"loss: {traj.loss:.12g} (truncation bound {traj.truncation_bound:.3g})")
+        _diag(f"loss: {traj.loss:.12g} (exact tail {traj.truncation_bound:.3g})")
     return _render_table(columns, rows, args.format, extra), EXIT_OK
 
 

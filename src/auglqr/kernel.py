@@ -2,24 +2,32 @@
 
 All operations work on 2-D float64 numpy arrays; ``rank`` also takes complex
 ones.  Eigenvalues, ranks and solves delegate to the LAPACK routines behind
-``numpy.linalg``, the only numerical dependency at run time; the
-matrix-equation logic built on top of them (the Riccati and Stein doublings)
-lives in the solver modules.  :class:`Frozen` is the base of every container
-the pipeline passes from stage to stage.
+``numpy.linalg``, the only numerical dependency at run time.  :func:`stein`
+is the one solver of the linear matrix equations X = C + b M X N: the cross
+value matrix P_z and the closed loop's discounted loss are both its
+solutions; the Riccati doubling lives in ``regulator``.  :class:`Frozen` is
+the base of every container the pipeline passes from stage to stage.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionError, SingularMatrixError
+from .errors import DimensionError, DivergenceError, SingularMatrixError
 
 #: reciprocal 1-norm condition number at or below which a solve is declared singular
 RCOND_MIN = 1e-13
 #: relative tolerance for the numerical rank
 RANK_RTOL = 1e-10
+#: relative step size at which a doubling iteration stops
+DEFAULT_TOL = 1e-12
+#: cap on doubling steps; step k covers 2^k periods of the plain recursion
+MAX_ITER = 100
+#: iterate magnitude treated as divergence (explosive uncontrolled dynamics)
+BLOWUP = 1e100
 
 
 def inf_norm(m: np.ndarray) -> float:
@@ -120,3 +128,28 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f" (threshold {RCOND_MIN:.0e})"
         )
     return inv @ b
+
+
+def stein(
+    m: np.ndarray, n: np.ndarray, c: np.ndarray, beta: float
+) -> tuple[np.ndarray, int, float]:
+    """Solve X = C + b M X N, b = beta, by Smith doubling (Smith, 1968).
+
+    From X_0 = C, the step X_{k+1} = X_k + M_k X_k N_k with M_0 = sqrt(b) M,
+    N_0 = sqrt(b) N, M_{k+1} = M_k^2 and N_{k+1} = N_k^2 sums 2^k terms of
+    sum_j M_0^j C N_0^j; that converges when b rho(M) rho(N) < 1.  Stops when
+    ||X_{k+1} - X_k||_inf <= DEFAULT_TOL (1 + ||X_{k+1}||_inf), raises
+    :class:`DivergenceError` when the doubling explodes or exhausts
+    ``MAX_ITER`` steps, and returns (X, steps, ||X - (C + b (M X N))||_inf).
+    """
+    x, m_k, n_k = c, math.sqrt(beta) * m, math.sqrt(beta) * n
+    for steps in range(1, MAX_ITER + 1):
+        step = m_k @ x @ n_k
+        x = x + step
+        diff, scale = inf_norm(step), inf_norm(x)
+        if not math.isfinite(diff) or scale > BLOWUP:
+            raise DivergenceError(f"Stein iteration diverged at iteration {steps}")
+        if diff <= DEFAULT_TOL * (1.0 + scale):
+            return x, steps, inf_norm(x - (c + beta * (m @ x @ n)))
+        m_k, n_k = m_k @ m_k, n_k @ n_k
+    raise DivergenceError(f"Stein iteration did not converge within {MAX_ITER} iterations")

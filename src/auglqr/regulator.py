@@ -32,13 +32,9 @@ import numpy as np
 
 from . import kernel
 from .errors import DivergenceError, InstabilityError
+from .kernel import BLOWUP, DEFAULT_TOL, MAX_ITER
 from .model import ModelSpec, symmetrize
 
-DEFAULT_TOL = 1e-12
-#: cap on doubling steps; step k covers 2^k periods of the plain recursion
-MAX_ITER = 100
-#: iterate magnitude treated as divergence (explosive uncontrolled dynamics)
-BLOWUP = 1e100
 #: the closed loop must clear 1/sqrt(beta) by at least this margin
 STABILITY_MARGIN = 1e-9
 

@@ -8,10 +8,13 @@ closed-loop system
 
 simulated forward from the anchored initial state.  Only that state
 recursion runs period by period; the paths of u and of the multipliers mu
-then follow from the gains and value matrices, and the per-period quadratic
-terms from the loss weights, each in one matrix product over the whole path.
-The discounted loss is reported as the positive quantity
-L = (1/2) sum beta^t [...], so smaller is better.
+then follow from the gains and value matrices, each in one matrix product
+over the whole path.  With s = (y, z) and G = [F_y F_z], the period loss is
+s' Qbar s for Qbar = [[Q_yy, Q_yz], [Q_yz', 0]] + G' R G, and the discounted
+loss L = (1/2) sum beta^t s_t' Qbar s_t is reported as a positive quantity,
+so smaller is better.  The loss beyond the horizon is exact, not estimated:
+from s_H on it is (1/2) beta^H s_H' W s_H, where W solves the Stein equation
+W = Qbar + beta T_cl' W T_cl.
 
 Certainty equivalence makes the deterministic recursion sufficient: expected
 paths after a shock coincide with the noiseless simulation, so impulse
@@ -44,10 +47,10 @@ class ClosedLoopSystem(kernel.Frozen):
 class Trajectory(kernel.Frozen):
     """Time-indexed paths for t = 0..horizon-1 plus the truncated loss.
 
-    ``truncation_bound`` is a geometric estimate of the discarded tail of the
-    discounted loss sum, not a bound: it assumes the quadratic terms decay
-    like the spectral radius of T_cl, and on the golden model at horizon 1 it
-    gives 0.0743 where the exact tail is 0.166.
+    ``truncation_bound`` is, despite its name, the exact discounted loss of
+    the noiseless continuation from period ``horizon`` on, so ``loss`` plus
+    it is the loss over the infinite horizon (golden at horizon 1: 0.2229 +
+    0.1661).  Where Q_yz makes Qbar indefinite it can be negative.
     """
 
     horizon: int
@@ -148,21 +151,22 @@ def simulate_path(
         y, z = states[:, :n_y], states[:, n_y:]
         u = y @ reg.F_y.T + z @ aug.F_z.T
         mu = y @ reg.P_y.T + z @ aug.P_z.T
-        quad = (
-            np.einsum("ti,ti->t", y @ spec.Q_yy, y)
-            + 2.0 * np.einsum("ti,ti->t", y @ spec.Q_yz, z)
-            + np.einsum("ti,ti->t", u @ spec.R, u)
-        )
-        loss = 0.5 * float(spec.beta ** np.arange(horizon) @ quad)
-    peak_quad = float(np.max(np.abs(quad)))
 
-    # discounted quadratic terms decay like (sqrt(beta) * rho)^(2t)
-    rho = math.sqrt(spec.beta) * kernel.spectral_radius(sys.T_cl)
-    ratio = rho * rho
-    if ratio < 1.0:
-        tail = 0.5 * peak_quad * ratio**horizon / (1.0 - ratio)
-    else:
-        tail = math.inf
+    # in discounted states d_t = beta^(t/2) s_t the period loss is d_t' Qbar d_t:
+    # no overflowed square of s_t ever meets an underflowed beta^t
+    gains = np.hstack([reg.F_y, aug.F_z])
+    weights = np.block([[spec.Q_yy, spec.Q_yz], [spec.Q_yz.T, np.zeros((n_z, n_z))]])
+    q_bar = weights + gains.T @ spec.R @ gains
+    root = math.sqrt(spec.beta)
+    discounted = states * (root ** np.arange(horizon))[:, None]
+    loss = 0.5 * float(np.vdot(discounted @ q_bar, discounted))
+
+    # the tail: the noiseless continuation from d_H, valued by W = Qbar + b T' W T
+    d_end = root * (sys.T_cl @ discounted[-1])
+    if drive is not None:
+        d_end += root**horizon * drive[-1]
+    w, _, _ = kernel.stein(sys.T_cl.T, sys.T_cl, q_bar, spec.beta)
+    tail = 0.5 * float(d_end @ w @ d_end)
     return Trajectory(
         horizon=horizon, y=y, z=z, u=u, mu=mu, loss=loss, truncation_bound=tail
     )

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -249,6 +250,30 @@ class TestTrajectoryCommands:
         assert len(report["rows"]) == 10
         assert report["loss"] > 0
         assert "truncation_bound" in report
+
+    def test_long_discounted_path_keeps_a_finite_loss(self, capsys, tmp_path):
+        # the closed loop sits just inside 1/sqrt(beta) = 1.414: states grow like
+        # 1.41^t, so their squares overflow while beta^t underflows, well before
+        # the states themselves overflow at t = 2067
+        spec = scalar_spec(
+            beta=0.5, a=1.41, b=1e-3, forward=False, a_yz=0.0, a_zz=0.5, z0=0.0
+        )
+        path = tmp_path / "edge.json"
+        path.write_text(save_model(spec), encoding="utf-8")
+        totals = {}
+        for horizon in (500, 1100, 2067):
+            code, out, err = run(
+                capsys, "simulate", "--model", str(path), "--horizon", str(horizon)
+            )
+            assert (code, err) == (0, ""), horizon
+            report = json.loads(out)
+            assert math.isfinite(report["loss"]), horizon
+            totals[horizon] = report["loss"] + report["truncation_bound"]
+        assert totals[1100] == pytest.approx(totals[500], rel=1e-10)
+        assert totals[2067] == pytest.approx(totals[500], rel=1e-10)
+        code, out, err = run(capsys, "simulate", "--model", str(path), "--horizon", "2100")
+        assert (code, out) == (2, "")
+        assert err == "error [simulate]: simulated state overflowed at t = 2067\n"
 
     def test_noise_seed_is_deterministic_and_reported(self, capsys):
         code, first, err = run(

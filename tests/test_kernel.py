@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 import auglqr
-from auglqr import DimensionError, SingularMatrixError
-from auglqr import kernel
+from auglqr import DimensionError, DivergenceError, SingularMatrixError, kernel
+from auglqr.augmented import solve_sylvester
+from auglqr.regulator import solve_riccati
+
+from _support import load_fixture, random_stabilizable_model
 
 
 class TestEigenvalues:
@@ -111,6 +114,91 @@ def test_inf_norm():
     assert kernel.inf_norm(np.array([[1.0, -2.0], [3.0, 4.0]])) == 7.0
     assert kernel.inf_norm(np.array([1.0, -5.0])) == 5.0
     assert kernel.inf_norm(np.zeros((0, 2))) == 0.0
+
+
+def kronecker_stein(m, n, c, beta):
+    """Dense solve of X = C + b M X N: (I - b N' kron M) vec(X) = vec(C)."""
+    p, q = c.shape
+    lhs = np.eye(p * q) - beta * np.kron(n.T, m)
+    return np.linalg.solve(lhs, c.flatten(order="F")).reshape((p, q), order="F")
+
+
+def with_radius(rng, size, radius):
+    m = rng.normal(size=(size, size))
+    return m * (radius / np.max(np.abs(np.linalg.eigvals(m))))
+
+
+def loop_sylvester(spec, reg):
+    """The Smith doubling solve_sylvester ran inline before kernel.stein:
+    (P_z, iterations, residual), residual summed in its original order."""
+    abar = spec.A_yy + spec.B_y @ reg.F_y
+    root = np.sqrt(spec.beta)
+    p_z = spec.Q_yz + spec.beta * (abar.T @ reg.P_y @ spec.A_yz)
+    m_k, n_k = root * abar.T, root * spec.A_zz
+    for iteration in range(1, kernel.MAX_ITER + 1):
+        step = m_k @ p_z @ n_k
+        p_z = p_z + step
+        if kernel.inf_norm(step) <= kernel.DEFAULT_TOL * (1.0 + kernel.inf_norm(p_z)):
+            break
+        m_k, n_k = m_k @ m_k, n_k @ n_k
+    target = (
+        spec.Q_yz
+        + spec.beta * (abar.T @ reg.P_y @ spec.A_yz)
+        + spec.beta * (abar.T @ p_z @ spec.A_zz)
+    )
+    return p_z, iteration, kernel.inf_norm(p_z - target)
+
+
+class TestStein:
+    @pytest.mark.parametrize("p, q", [(1, 1), (3, 3), (6, 2), (2, 7)])
+    @pytest.mark.parametrize("beta", [0.5, 0.95, 1.0])
+    def test_matches_dense_kronecker_solve(self, p, q, beta):
+        rng = np.random.default_rng(10 * p + q)
+        m = with_radius(rng, p, 0.9)
+        n = with_radius(rng, q, 0.8)
+        c = rng.normal(size=(p, q))
+        x, steps, residual = kernel.stein(m, n, c, beta)
+        ref = kronecker_stein(m, n, c, beta)
+        assert x.shape == (p, q)
+        assert np.max(np.abs(x - ref)) <= 1e-11 * max(1.0, np.max(np.abs(ref)))
+        assert 1 <= steps < kernel.MAX_ITER
+        assert residual <= 1e-11 * max(1.0, kernel.inf_norm(x))
+
+    def test_residual_is_the_recomputed_one(self):
+        rng = np.random.default_rng(5)
+        m, n = with_radius(rng, 4, 0.95), with_radius(rng, 3, 0.9)
+        c = rng.normal(size=(4, 3))
+        x, _, residual = kernel.stein(m, n, c, 0.97)
+        assert residual == kernel.inf_norm(x - (c + 0.97 * (m @ x @ n)))
+
+    @pytest.mark.parametrize(
+        "m, n, beta, message",
+        [
+            (1.2 * np.eye(2), np.eye(1), 1.0, "diverged at iteration"),
+            (np.eye(2), np.eye(1), 1.0, "did not converge within 100 iterations"),
+            (np.array([[1.5]]), np.array([[1.5]]), 0.5, "diverged at iteration"),
+        ],
+        ids=["explosive", "unit", "beta-scaled"],
+    )
+    def test_divergence_when_product_of_radii_reaches_one(self, m, n, beta, message):
+        radius = kernel.spectral_radius(m) * kernel.spectral_radius(n) * beta
+        assert radius >= 1.0
+        c = np.ones((m.shape[0], n.shape[0]))
+        with pytest.raises(DivergenceError, match=f"^Stein iteration {message}"):
+            kernel.stein(m, n, c, beta)
+
+    def test_solve_sylvester_unchanged(self):
+        rng = np.random.default_rng(17)
+        specs = [load_fixture("golden.json"), load_fixture("back.json")] + [
+            random_stabilizable_model(rng, *dims, beta)
+            for dims, beta in [((1, 1, 1, 1), 0.9), ((4, 2, 3, 2), 0.97), ((10, 10, 10, 5), 0.99)]
+        ]
+        for spec in specs:
+            reg = solve_riccati(spec)
+            aug = solve_sylvester(spec, reg)
+            p_z, iterations, residual = loop_sylvester(spec, reg)
+            assert np.array_equal(aug.P_z, p_z)
+            assert (aug.iterations, aug.residual) == (iterations, residual)
 
 
 class TestFrozen:

@@ -1,15 +1,19 @@
 """The README's examples run: each ``auglqr`` line of its CLI block prints a
-report, and its Library block executes as written."""
+report, its Library block executes as written, and the numbers it quotes
+are the ones the CLI prints."""
 
 import csv
 import io
 import json
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
 from auglqr.cli import main
+
+from _support import GOLDEN_LOSS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,3 +58,21 @@ def test_readme_library_block(monkeypatch):
     assert namespace["traj"].horizon == 200
     assert namespace["response"].horizon == 40
     assert namespace["rep"].T_var.shape == (2, 2)
+
+
+def test_readme_golden_loss_and_tail(capsys, monkeypatch):
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    quoted = re.search(
+        r"on `golden` at horizon 1 the report prints `loss` (\S+) and"
+        r" `truncation_bound` (\S+), which sum to (\S+)\.",
+        text,
+    )
+    assert quoted is not None
+    loss, tail, total = quoted.groups()
+    monkeypatch.chdir(ROOT)
+    assert main(["simulate", "--model", "models/golden.json", "--horizon", "1"]) == 0
+    report = capsys.readouterr().out
+    assert f'"loss": {loss},' in report
+    assert f'"truncation_bound": {tail}' in report
+    assert total == f"{GOLDEN_LOSS:.12g}"
+    assert float(loss) + float(tail) == pytest.approx(float(total), abs=1e-12)

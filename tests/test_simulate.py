@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from auglqr import (
     ClosedLoopSystem,
@@ -12,7 +13,7 @@ from auglqr import (
     irf,
     simulate_path,
 )
-from auglqr.kernel import solve_linear
+from auglqr.kernel import solve_linear, stein
 from auglqr.model import symmetrize
 from auglqr.simulate import state_path
 
@@ -113,7 +114,7 @@ class TestSimulatePath:
         traj = simulate_path(system, spec, reg, aug, 200)
         assert traj.z[:, 0] == pytest.approx(0.5 ** np.arange(200), abs=1e-12)
         assert traj.y[0, 0] == pytest.approx(GOLDEN_X0, abs=1e-9)
-        # frozen infinite-horizon value; the horizon-200 tail is ~1e-121
+        # frozen infinite-horizon value; the horizon-200 tail is ~2e-120
         assert traj.loss == pytest.approx(GOLDEN_LOSS, abs=1e-8)
         assert traj.loss == pytest.approx(
             oracle_loss(spec, anchored.x0, 200), abs=1e-8
@@ -280,6 +281,107 @@ class TestBatchedPathMatchesLoop:
             assert value.shape == ref.shape, name
             assert rel_gap(value, ref) <= 1e-12, name
         assert rel_gap(np.array(traj.loss), np.array(loss)) <= 1e-12
+
+
+def weighted_loss_matrix(spec, reg, aug):
+    """Qbar = [[Q_yy, Q_yz], [Q_yz', 0]] + G' R G with G = [F_y F_z]."""
+    n_z = spec.dims.n_z
+    gains = np.hstack([reg.F_y, aug.F_z])
+    weights = np.block([[spec.Q_yy, spec.Q_yz], [spec.Q_yz.T, np.zeros((n_z, n_z))]])
+    return weights + gains.T @ spec.R @ gains
+
+
+def long_sum_tail(system, spec, reg, aug, horizon, shocks=None, extra=3000):
+    """The tail as a difference of two truncated sums: the loss over
+    ``horizon + extra`` periods, with no shocks after ``horizon``, less the
+    loss over ``horizon``."""
+    long_shocks = None
+    if shocks is not None:
+        long_shocks = np.zeros((horizon + extra, spec.dims.n_z))
+        long_shocks[:horizon] = shocks
+    long = simulate_path(system, spec, reg, aug, horizon + extra, long_shocks)
+    return long.loss - simulate_path(system, spec, reg, aug, horizon, shocks).loss
+
+
+class TestExactTail:
+    """``truncation_bound`` is the exact discounted loss beyond the horizon."""
+
+    def test_golden_horizon_one(self, golden_solved):
+        spec, reg, aug, anchored, system = golden_solved
+        traj = simulate_path(system, spec, reg, aug, 1)
+        assert traj.truncation_bound == pytest.approx(0.166149063331, rel=1e-11)
+        assert traj.loss + traj.truncation_bound == pytest.approx(GOLDEN_LOSS, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_value_matrix_matches_lyapunov(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        dims = [(1, 1, 1, 1), (2, 1, 2, 1), (4, 2, 3, 2)][seed % 3]
+        spec = random_stabilizable_model(rng, *dims, 0.97)
+        spec = replace(spec, Q_yz=0.3 * rng.normal(size=spec.Q_yz.shape))
+        reg, aug, anchored, system = full_solve(spec)
+        q_bar = weighted_loss_matrix(spec, reg, aug)
+        w_ref = scipy.linalg.solve_discrete_lyapunov(
+            np.sqrt(spec.beta) * system.T_cl.T, q_bar
+        )
+        w, _, _ = stein(system.T_cl.T, system.T_cl, q_bar, spec.beta)
+        assert rel_gap(w, w_ref) <= 1e-10
+        # at the optimal F_y the y-blocks are the value matrices of the solve
+        n_y = spec.dims.n_y
+        assert rel_gap(w[:n_y, :n_y], reg.P_y) <= 1e-10
+        assert rel_gap(w[:n_y, n_y:], aug.P_z) <= 1e-10
+
+        horizon = 3
+        traj = simulate_path(system, spec, reg, aug, horizon)
+        s_end = system.T_cl @ np.concatenate([traj.y[-1], traj.z[-1]])
+        expected = 0.5 * spec.beta**horizon * (s_end @ w_ref @ s_end)
+        assert traj.truncation_bound == pytest.approx(expected, rel=1e-10, abs=1e-14)
+
+    def test_perturbed_gain_tail_is_the_long_sum(self, back_solved):
+        # W_yy = P_y holds only at the optimal F_y; the tail must not lean on it
+        spec, reg, aug, anchored, _ = back_solved
+        pushed = replace(reg, F_y=reg.F_y + 0.05)
+        system = build_closed_loop(spec, pushed, aug, anchored)
+        tail = simulate_path(system, spec, pushed, aug, 5).truncation_bound
+        assert tail == pytest.approx(0.179713840422, rel=1e-11)
+        long = simulate_path(system, spec, pushed, aug, 5000).loss
+        assert tail == pytest.approx(long - simulate_path(system, spec, pushed, aug, 5).loss, rel=1e-12)
+
+    def test_last_shock_enters_the_tail(self, golden_solved):
+        # shocks[H-1] moves s_H but no state on the path: the tail alone carries it
+        spec, reg, aug, anchored, system = golden_solved
+        zero_start = replace(system, state0=np.zeros(2))
+        shocks = np.zeros((4, 1))
+        shocks[-1, 0] = 1.0
+        traj = simulate_path(zero_start, spec, reg, aug, 4, shocks)
+        assert traj.loss == 0.0
+        assert traj.truncation_bound > 0.0
+        expected = long_sum_tail(zero_start, spec, reg, aug, 4, shocks)
+        assert traj.truncation_bound == pytest.approx(expected, rel=1e-12)
+
+    def test_random_shocks_tail_is_the_long_sum(self):
+        rng = np.random.default_rng(71)
+        spec = random_stabilizable_model(rng, 2, 1, 2, 1, 0.95)
+        reg, aug, anchored, system = full_solve(spec)
+        shocks = rng.normal(size=(7, 2))
+        tail = simulate_path(system, spec, reg, aug, 7, shocks).truncation_bound
+        assert tail == pytest.approx(long_sum_tail(system, spec, reg, aug, 7, shocks), rel=1e-11)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_nonnegative_without_cross_weight(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        spec = random_stabilizable_model(rng, 2, 1, 2, 2, 0.96)
+        spec = replace(spec, Q_yz=np.zeros_like(spec.Q_yz))
+        reg, aug, anchored, system = full_solve(spec)
+        shocks = rng.normal(size=(2, 2)) if seed % 2 else None
+        assert simulate_path(system, spec, reg, aug, 2, shocks).truncation_bound >= 0.0
+
+    def test_cross_weight_can_make_it_negative(self):
+        # Q = [[1, -1], [-1, 0]] is indefinite: the loss still to come is negative
+        spec = scalar_spec(beta=0.95, a=0.5, a_yz=1.0, a_zz=0.9, q_yz=-1.0, forward=False)
+        reg, aug, anchored, system = full_solve(spec)
+        tail = simulate_path(system, spec, reg, aug, 1).truncation_bound
+        assert tail < -1.0
+        assert tail == pytest.approx(long_sum_tail(system, spec, reg, aug, 1), rel=1e-12)
 
 
 class TestImpulseResponse:
