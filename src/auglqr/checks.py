@@ -67,8 +67,8 @@ def run_checks(spec: ModelSpec) -> CheckReport:
         if abs(lam) >= threshold and lam.imag >= 0.0:
             pencil = np.hstack([spec.A_yy - lam * np.eye(n_y), spec.B_y])
             ctrb_rank = min(ctrb_rank, kernel.rank(pencil))
-    eig_zz = kernel.eigenvalues(spec.A_zz)
-    radius = float(np.max(np.abs(eig_zz))) if eig_zz.size else 0.0
+    eig_zz = spec.eigenvalues_zz
+    radius = kernel.radius_of(eig_zz)
     return CheckReport(
         controllable=ctrb_rank == n_y,
         controllability_rank=ctrb_rank,

@@ -11,6 +11,7 @@ the base of every container the pipeline passes from stage to stage.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -28,6 +29,14 @@ DEFAULT_TOL = 1e-12
 MAX_ITER = 100
 #: iterate magnitude treated as divergence (explosive uncontrolled dynamics)
 BLOWUP = 1e100
+#: relative residual above which a converged Stein iterate is rejected
+STEIN_RTOL = 1e-8
+
+# the ufunc reductions behind ndarray.sum and ndarray.max, called directly:
+# the norms run several times per doubling step, where a method's Python
+# wrapper costs as much as the reduction of a small matrix
+_add = np.add.reduce
+_max = np.maximum.reduce
 
 
 def inf_norm(m: np.ndarray) -> float:
@@ -35,10 +44,14 @@ def inf_norm(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         return 0.0
-    # ndarray methods, not np.max/np.sum: this runs on every solve and doubling step
     if m.ndim <= 1:
         return float(np.abs(m).max())
-    return float(np.abs(m).sum(axis=1).max())
+    return float(_max(_add(np.abs(m), axis=1)))
+
+
+def _one_norm(m: np.ndarray) -> float:
+    """1-norm of a non-empty matrix: the largest absolute column sum."""
+    return float(_max(_add(np.abs(m), axis=0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,12 +66,18 @@ class Frozen:
     """
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
+        for name in _field_names(type(self)):
+            value = getattr(self, name)
             for arr in value if isinstance(value, tuple) else (value,):
                 while isinstance(arr, np.ndarray):
                     arr.flags.writeable = False
                     arr = arr.base
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """A dataclass's field names, looked up once per class."""
+    return tuple(field.name for field in fields(cls))
 
 
 def eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -73,8 +92,12 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
 
 def spectral_radius(m: np.ndarray) -> float:
     """Largest eigenvalue modulus; 0.0 for an empty matrix."""
-    eig = eigenvalues(m)
-    return float(np.max(np.abs(eig))) if eig.size else 0.0
+    return radius_of(eigenvalues(m))
+
+
+def radius_of(eig: np.ndarray) -> float:
+    """Largest modulus among given eigenvalues; 0.0 when there are none."""
+    return float(np.abs(eig).max(initial=0.0))
 
 
 def rank(m: np.ndarray) -> int:
@@ -115,13 +138,12 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     # one inverse, then a product, beats an LU solve on these small systems,
     # and the inverse gives the exact 1-norm condition number for free
-    # (the 1-norm of a matrix is the infinity norm of its transpose)
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         rcond = 0.0
     else:
-        rcond = 1.0 / (inf_norm(a.T) * inf_norm(inv.T))
+        rcond = 1.0 / (_one_norm(a) * _one_norm(inv))
     if not rcond > RCOND_MIN:  # also catches nan from non-finite entries
         raise SingularMatrixError(
             f"singular matrix: reciprocal condition {rcond:.3e}"
@@ -138,18 +160,35 @@ def stein(
     From X_0 = C, the step X_{k+1} = X_k + M_k X_k N_k with M_0 = sqrt(b) M,
     N_0 = sqrt(b) N, M_{k+1} = M_k^2 and N_{k+1} = N_k^2 sums 2^k terms of
     sum_j M_0^j C N_0^j; that converges when b rho(M) rho(N) < 1.  Stops when
-    ||X_{k+1} - X_k||_inf <= DEFAULT_TOL (1 + ||X_{k+1}||_inf), raises
-    :class:`DivergenceError` when the doubling explodes or exhausts
-    ``MAX_ITER`` steps, and returns (X, steps, ||X - (C + b (M X N))||_inf).
+    ||X_{k+1} - X_k||_inf <= DEFAULT_TOL (1 + ||X_{k+1}||_inf) and returns
+    (X, steps, ||X - (C + b (M X N))||_inf).  Raises
+    :class:`DivergenceError`, with no numpy warning first, when the doubling
+    explodes (an overflowed M_k or N_k included), exhausts ``MAX_ITER``
+    steps, or stops at an X whose residual exceeds
+    STEIN_RTOL (||C||_inf + ||X||_inf): the iterates can settle on a wrong X
+    when a product of eigenvalues of sqrt(b) M and sqrt(b) N lies on the
+    unit circle.
     """
     x, m_k, n_k = c, math.sqrt(beta) * m, math.sqrt(beta) * n
-    for steps in range(1, MAX_ITER + 1):
-        step = m_k @ x @ n_k
-        x = x + step
-        diff, scale = inf_norm(step), inf_norm(x)
-        if not math.isfinite(diff) or scale > BLOWUP:
-            raise DivergenceError(f"Stein iteration diverged at iteration {steps}")
-        if diff <= DEFAULT_TOL * (1.0 + scale):
-            return x, steps, inf_norm(x - (c + beta * (m @ x @ n)))
-        m_k, n_k = m_k @ m_k, n_k @ n_k
-    raise DivergenceError(f"Stein iteration did not converge within {MAX_ITER} iterations")
+    # an overflow surfaces as a non-finite step or a huge iterate below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for steps in range(1, MAX_ITER + 1):
+            step = m_k @ x @ n_k
+            x = x + step
+            diff, scale = inf_norm(step), inf_norm(x)
+            if not math.isfinite(diff) or scale > BLOWUP:
+                raise DivergenceError(f"Stein iteration diverged at iteration {steps}")
+            if diff <= DEFAULT_TOL * (1.0 + scale):
+                break
+            m_k, n_k = m_k @ m_k, n_k @ n_k
+        else:
+            raise DivergenceError(
+                f"Stein iteration did not converge within {MAX_ITER} iterations"
+            )
+        residual = inf_norm(x - (c + beta * (m @ x @ n)))
+    if not residual <= STEIN_RTOL * (inf_norm(c) + scale):
+        raise DivergenceError(
+            f"Stein iteration stopped at a wrong solution after {steps} iterations"
+            f" (residual {residual:.3e})"
+        )
+    return x, steps, residual

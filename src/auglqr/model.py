@@ -19,6 +19,7 @@ operation is a pure function, so instances are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -116,6 +117,14 @@ class ModelSpec(kernel.Frozen):
         object.__setattr__(self, "beta", float(self.beta))
         super().__post_init__()
 
+    @functools.cached_property
+    def eigenvalues_zz(self) -> np.ndarray:
+        """Eigenvalues of A_zz (read-only), computed once per model: the
+        forcing gate and the closed-loop guard both read them."""
+        eig = kernel.eigenvalues(self.A_zz)
+        eig.flags.writeable = False
+        return eig
+
     def __eq__(self, other):
         if not isinstance(other, ModelSpec):
             return NotImplemented
@@ -148,7 +157,7 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 def _check_symmetric(name: str, m: np.ndarray, out: list[str]) -> bool:
     gap = np.abs(m - m.T)
-    worst = float(np.max(gap)) if gap.size else 0.0
+    worst = float(gap.max(initial=0.0))
     if worst > TOL_SYM:
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
         out.append(
@@ -173,7 +182,7 @@ def validate(spec: ModelSpec) -> ValidationReport:
         if m.shape != expected[name]:
             out.append(f"{name} has shape {m.shape}, expected {expected[name]}")
             continue
-        if m.size and not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             i, j = map(int, np.argwhere(~np.isfinite(m))[0])
             out.append(f"{name} has non-finite entry at [{i},{j}]")
             continue
@@ -182,7 +191,7 @@ def validate(spec: ModelSpec) -> ValidationReport:
         v = getattr(spec, name)
         if v.shape != (n,):
             out.append(f"{name} has length {v.shape[0]}, expected {n}")
-        elif v.size and not np.all(np.isfinite(v)):
+        elif not np.isfinite(v).all():
             i = int(np.argwhere(~np.isfinite(v))[0][0])
             out.append(f"{name} has non-finite entry at [{i}]")
     labels = spec.labels or {}

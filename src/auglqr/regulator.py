@@ -42,12 +42,20 @@ STABILITY_MARGIN = 1e-9
 @dataclass(frozen=True, eq=False)
 class RegulatorSolution(kernel.Frozen):
     """Riccati fixed point P_y (symmetric PSD) and feedback gain F_y; the
-    ``residual`` is ||riccati_rhs(P_y) - P_y||_inf."""
+    ``residual`` is ||riccati_rhs(P_y) - P_y||_inf.
+
+    ``A_cl`` is the closed loop A_yy + B_y F_y whose spectral radius
+    ``radius_cl`` the solver checked.  The pair travels together: a reader
+    reuses the radius only for that very matrix, so a solution whose F_y
+    was replaced gets its loop's radius recomputed.
+    """
 
     P_y: np.ndarray
     F_y: np.ndarray
     iterations: int
     residual: float
+    A_cl: np.ndarray | None = None
+    radius_cl: float | None = None
 
 
 def gain(spec: ModelSpec, p_y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -59,10 +67,16 @@ def gain(spec: ModelSpec, p_y: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def riccati_rhs(P: np.ndarray, spec: ModelSpec) -> np.ndarray:
     """One application of the Riccati map at P; output exactly symmetric."""
-    a, beta = spec.A_yy, spec.beta
-    w = beta * (spec.B_y.T @ P @ a)  # b B' P A
-    rhs = symmetrize(spec.Q_yy) + beta * (a.T @ P @ a) + w.T @ gain(spec, P, w)
-    return symmetrize(rhs)
+    w = spec.beta * (spec.B_y.T @ P @ spec.A_yy)  # b B' P A
+    return _riccati_map(spec, P, w, gain(spec, P, w))
+
+
+def _riccati_map(
+    spec: ModelSpec, P: np.ndarray, w: np.ndarray, f: np.ndarray
+) -> np.ndarray:
+    """The Riccati map at P, given w = b B' P A and its gain f = gain(spec, P, w)."""
+    a = spec.A_yy
+    return symmetrize(symmetrize(spec.Q_yy) + spec.beta * (a.T @ P @ a) + w.T @ f)
 
 
 def solve_riccati(spec: ModelSpec, tol: float = DEFAULT_TOL) -> RegulatorSolution:
@@ -70,21 +84,28 @@ def solve_riccati(spec: ModelSpec, tol: float = DEFAULT_TOL) -> RegulatorSolutio
 
     Stops when ||H_{k+1} - H_k||_inf <= tol * (1 + ||H_{k+1}||_inf).  Raises
     :class:`DivergenceError` when the doubling explodes, exhausts ``MAX_ITER``
-    steps or returns a matrix that is not positive semidefinite, and :class:`InstabilityError` when the converged
-    gain fails the closed-loop spectral-radius margin.
+    steps or returns a matrix that is not positive semidefinite, and
+    :class:`InstabilityError` when the converged gain fails the closed-loop
+    spectral-radius margin.
     """
     root = math.sqrt(spec.beta)
     b = root * spec.B_y
     a_k = root * spec.A_yy
     g_k = symmetrize(b @ kernel.solve_linear(symmetrize(spec.R), b.T))
     h_k = symmetrize(spec.Q_yy)
+    n = len(a_k)
+    eye = np.eye(n)
     diff = math.inf
+    # at n_y <= 3 a step's Python calls cost more than its arithmetic, so it
+    # calls nothing beyond the gated inverse and the two norms
     for iteration in range(1, MAX_ITER + 1):
-        # one inverse of W serves W^{-1} A_k and W^{-1} G_k
-        w_inv = kernel.solve_linear(np.eye(len(a_k)) + g_k @ h_k, np.hstack([a_k, g_k]))
-        w_inv_a, w_inv_g = np.hsplit(w_inv, [a_k.shape[1]])
-        h_next = symmetrize(h_k + a_k.T @ h_k @ w_inv_a)
-        g_k = symmetrize(g_k + a_k @ w_inv_g @ a_k.T)
+        # one inverse of W = I + G_k H_k serves W^{-1} A_k and W^{-1} G_k
+        w_inv = kernel.solve_linear(eye + g_k @ h_k, np.concatenate((a_k, g_k), axis=1))
+        w_inv_a, w_inv_g = w_inv[:, :n], w_inv[:, n:]
+        h_next = h_k + a_k.T @ h_k @ w_inv_a
+        h_next = (h_next + h_next.T) / 2.0
+        g_k = g_k + a_k @ w_inv_g @ a_k.T
+        g_k = (g_k + g_k.T) / 2.0
         a_k = a_k @ w_inv_a
         diff = kernel.inf_norm(h_next - h_k)
         scale = kernel.inf_norm(h_next)
@@ -109,13 +130,22 @@ def solve_riccati(spec: ModelSpec, tol: float = DEFAULT_TOL) -> RegulatorSolutio
             f"Riccati solution lost positive semidefiniteness"
             f" after {iteration} iterations"
         )
-    f = gain(spec, h_k, spec.beta * (spec.B_y.T @ h_k @ spec.A_yy))
-    radius = kernel.spectral_radius(spec.A_yy + spec.B_y @ f)
-    limit = 1.0 / math.sqrt(spec.beta) - STABILITY_MARGIN
+    w = spec.beta * (spec.B_y.T @ h_k @ spec.A_yy)
+    f = gain(spec, h_k, w)
+    a_cl = spec.A_yy + spec.B_y @ f
+    radius = kernel.spectral_radius(a_cl)
+    limit = 1.0 / root - STABILITY_MARGIN
     if radius >= limit:
         raise InstabilityError(
             f"closed loop not stabilizing: spectral radius {radius:.12g}"
             f" >= {limit:.12g}"
         )
-    residual = kernel.inf_norm(riccati_rhs(h_k, spec) - h_k)
-    return RegulatorSolution(P_y=h_k, F_y=f, iterations=iteration, residual=residual)
+    residual = kernel.inf_norm(_riccati_map(spec, h_k, w, f) - h_k)
+    return RegulatorSolution(
+        P_y=h_k,
+        F_y=f,
+        iterations=iteration,
+        residual=residual,
+        A_cl=a_cl,
+        radius_cl=radius,
+    )

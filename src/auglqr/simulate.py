@@ -68,16 +68,25 @@ def build_closed_loop(
     aug: AugmentedSolution,
     anchored: AnchoredState,
 ) -> ClosedLoopSystem:
-    """Stack the closed-loop transition, the impulse loading, and state0."""
+    """Stack the closed-loop transition, the impulse loading, and state0.
+
+    Both stability guards reuse a radius already decided: the solver's
+    ``reg.radius_cl`` when the loop is the very ``reg.A_cl`` it checked (a
+    replaced F_y or A_yy gets a fresh eigendecomposition), and the model's
+    own ``eigenvalues_zz``.
+    """
     n_y, n_z = spec.dims.n_y, spec.dims.n_z
     a_cl = spec.A_yy + spec.B_y @ reg.F_y
     sqrt_beta = math.sqrt(spec.beta)
-    radius_cl = kernel.spectral_radius(a_cl)
+    if reg.A_cl is not None and np.array_equal(a_cl, reg.A_cl):
+        radius_cl = reg.radius_cl
+    else:
+        radius_cl = kernel.spectral_radius(a_cl)
     if sqrt_beta * radius_cl >= 1.0:
         raise InstabilityError(
             f"closed feedback loop unstable: sqrt(beta) * {radius_cl:.6g} >= 1"
         )
-    radius_zz = kernel.spectral_radius(spec.A_zz)
+    radius_zz = kernel.radius_of(spec.eigenvalues_zz)
     if sqrt_beta * radius_zz >= 1.0:
         raise InstabilityError(
             f"forcing block unstable: sqrt(beta) * {radius_zz:.6g} >= 1"

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import warnings
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -110,10 +111,36 @@ class TestSolveLinear:
             kernel.solve_linear(np.eye(2), np.ones((3, 1)))
 
 
+    def test_rcond_is_the_one_of_the_transposed_norms(self):
+        # the gate reads column sums directly; it must decide, and print,
+        # the rcond that 1 / (||a'||_inf ||inv(a)'||_inf) gives
+        rng = np.random.default_rng(23)
+        for n in (2, 3, 9, 33):
+            u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            a = u @ np.diag(np.logspace(0, -15, n)) @ u.T
+            inv = np.linalg.inv(a)
+            rcond = 1.0 / (method_inf_norm(a.T) * method_inf_norm(inv.T))
+            with pytest.raises(SingularMatrixError, match=f"reciprocal condition {rcond:.3e}"):
+                kernel.solve_linear(a, np.ones(n))
+
+
+def method_inf_norm(m):
+    """The infinity norm through the ndarray methods inf_norm used to call."""
+    return float(np.abs(m).sum(axis=1).max()) if m.size else 0.0
+
+
 def test_inf_norm():
     assert kernel.inf_norm(np.array([[1.0, -2.0], [3.0, 4.0]])) == 7.0
     assert kernel.inf_norm(np.array([1.0, -5.0])) == 5.0
     assert kernel.inf_norm(np.zeros((0, 2))) == 0.0
+
+
+def test_inf_norm_unchanged():
+    rng = np.random.default_rng(29)
+    for shape in [(1, 1), (3, 3), (2, 7), (40, 40), (130, 17)]:
+        for m in (rng.normal(size=shape), rng.lognormal(10.0, 8.0, size=shape)):
+            assert kernel.inf_norm(m) == method_inf_norm(m)
+            assert kernel.inf_norm(m.T) == method_inf_norm(m.T)
 
 
 def kronecker_stein(m, n, c, beta):
@@ -186,6 +213,37 @@ class TestStein:
         c = np.ones((m.shape[0], n.shape[0]))
         with pytest.raises(DivergenceError, match=f"^Stein iteration {message}"):
             kernel.stein(m, n, c, beta)
+
+    def test_wrong_fixed_point_is_rejected(self):
+        # sqrt(b) M has eigenvalue -1: the doubling sums C - C and then
+        # stands still at X = 0, a residual of ||C||; the solution is C / 2
+        with pytest.raises(
+            DivergenceError,
+            match=r"^Stein iteration stopped at a wrong solution after 2 iterations"
+            r" \(residual 1\.000e\+00\)$",
+        ):
+            kernel.stein(-np.eye(1), np.eye(1), np.ones((1, 1)), 1.0)
+
+    def test_overflowing_powers_raise_without_a_warning(self):
+        # rho product 1 through 2 * 0.5: M_k = diag(2, 0.1)^(2^k) overflows
+        # while X grows only linearly
+        m, n = np.diag([2.0, 0.1]), np.array([[0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="^Stein iteration diverged at iteration"):
+                kernel.stein(m, n, np.ones((2, 1)), 1.0)
+
+    def test_residual_gate_passes_every_fixture_solve(self):
+        specs = [load_fixture("golden.json"), load_fixture("back.json")] + [
+            random_stabilizable_model(np.random.default_rng(seed), *dims, 0.999)
+            for seed, dims in enumerate([(2, 2, 2, 2), (4, 2, 3, 2), (10, 10, 10, 5)])
+        ]
+        for spec in specs:
+            reg = solve_riccati(spec)
+            aug = solve_sylvester(spec, reg)
+            c = spec.Q_yz + spec.beta * (reg.A_cl.T @ reg.P_y @ spec.A_yz)
+            scale = kernel.inf_norm(c) + kernel.inf_norm(aug.P_z)
+            assert aug.residual <= 1e-13 * max(scale, 1.0)
 
     def test_solve_sylvester_unchanged(self):
         rng = np.random.default_rng(17)

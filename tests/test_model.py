@@ -53,6 +53,22 @@ class TestDims:
             Dims(**kwargs)
 
 
+class TestForcingSpectrum:
+    def test_computed_once_and_read_only(self):
+        spec = scalar_spec(beta=0.99, a=0.5, a_yz=1.0, a_zz=0.5)
+        eig = spec.eigenvalues_zz
+        assert eig is spec.eigenvalues_zz
+        assert np.array_equal(eig, [0.5 + 0.0j])
+        assert not eig.flags.writeable
+
+    def test_replaced_forcing_block_gets_its_own(self):
+        spec = scalar_spec(beta=0.99, a=0.5, a_yz=1.0, a_zz=0.5)
+        assert spec.eigenvalues_zz.size == 1  # fills the cache
+        moved = replace(spec, A_zz=[[0.25]])
+        assert np.array_equal(moved.eigenvalues_zz, [0.25 + 0.0j])
+        assert scalar_spec(beta=0.99, a=0.5).eigenvalues_zz.size == 0
+
+
 class TestValidate:
     def test_scalar_spec_is_valid(self):
         report = validate(scalar_spec(beta=0.99))

@@ -20,7 +20,7 @@ from auglqr import (
     solve_sylvester,
     to_var,
 )
-from auglqr.kernel import inf_norm, spectral_radius
+from auglqr.kernel import MAX_ITER, inf_norm, spectral_radius
 from auglqr.model import symmetrize
 
 from _support import (
@@ -45,6 +45,89 @@ def _adversarial_model(name):
     size, _, radius = name.removeprefix("single-input-").partition("@")
     n_y = int(size)
     return single_input_model(np.random.default_rng(n_y), n_y, float(radius or 0.97))
+
+
+def method_inf_norm(m):
+    return float(np.abs(m).sum(axis=1).max()) if m.size else 0.0
+
+
+def loop_riccati(spec, tol=1e-12):
+    """The doubling loop and residual solve_riccati ran before its wrapper
+    calls were trimmed: (P_y, F_y, iterations, residual).
+
+    A copy in the old form: an identity and an hstack/hsplit per step,
+    symmetrize calls, ndarray-method norms, and a residual from a second
+    gain solve.  solve_linear's product inv(a) @ b is written out.
+    """
+    root = math.sqrt(spec.beta)
+    b = root * spec.B_y
+    a_k = root * spec.A_yy
+    g_k = symmetrize(b @ (np.linalg.inv(symmetrize(spec.R)) @ b.T))
+    h_k = symmetrize(spec.Q_yy)
+    for iteration in range(1, MAX_ITER + 1):
+        w_inv = np.linalg.inv(np.eye(len(a_k)) + g_k @ h_k) @ np.hstack([a_k, g_k])
+        w_inv_a, w_inv_g = np.hsplit(w_inv, [a_k.shape[1]])
+        h_next = symmetrize(h_k + a_k.T @ h_k @ w_inv_a)
+        g_k = symmetrize(g_k + a_k @ w_inv_g @ a_k.T)
+        a_k = a_k @ w_inv_a
+        diff = method_inf_norm(h_next - h_k)
+        scale = method_inf_norm(h_next)
+        h_k = h_next
+        if diff <= tol * (1.0 + scale):
+            break
+
+    def old_gain(p, w):
+        s = symmetrize(spec.R + spec.beta * (spec.B_y.T @ p @ spec.B_y))
+        return -(np.linalg.inv(s) @ w)
+
+    def old_rhs(p):
+        a, beta = spec.A_yy, spec.beta
+        w = beta * (spec.B_y.T @ p @ a)
+        return symmetrize(symmetrize(spec.Q_yy) + beta * (a.T @ p @ a) + w.T @ old_gain(p, w))
+
+    f = old_gain(h_k, spec.beta * (spec.B_y.T @ h_k @ spec.A_yy))
+    return h_k, f, iteration, method_inf_norm(old_rhs(h_k) - h_k)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "golden",
+        "back",
+        "hard1",
+        "hard2",
+        "hard3",
+        "single-input-60",
+        "single-input-100",
+        "single-input-100@1.3",
+        "random",
+    ],
+)
+def test_solve_riccati_unchanged(name):
+    if name in ("golden", "back"):
+        specs = [load_fixture(f"{name}.json")]
+    elif name == "random":
+        rng = np.random.default_rng(31)
+        specs = [
+            random_stabilizable_model(rng, *dims, beta)
+            for dims, beta in [
+                ((1, 1, 1, 1), 0.9),
+                ((2, 1, 0, 1), 0.9999),
+                ((4, 2, 3, 2), 0.97),
+                ((10, 10, 10, 5), 0.99),
+                ((30, 30, 30, 10), 0.99),
+            ]
+        ]
+    else:
+        specs = [_adversarial_model(name)]
+    for spec in specs:
+        reg = solve_riccati(spec)
+        p_y, f_y, iterations, residual = loop_riccati(spec)
+        assert np.array_equal(reg.P_y, p_y)
+        assert np.array_equal(reg.F_y, f_y)
+        assert (reg.iterations, reg.residual) == (iterations, residual)
+        # the residual reuses the gain solve: it is the library map's, too
+        assert reg.residual == inf_norm(riccati_rhs(reg.P_y, spec) - reg.P_y)
 
 
 class TestRiccatiRhs:

@@ -12,8 +12,10 @@ from auglqr import (
     build_closed_loop,
     irf,
     simulate_path,
+    solve_riccati,
 )
-from auglqr.kernel import solve_linear, stein
+from auglqr.cli import main
+from auglqr.kernel import solve_linear, spectral_radius, stein
 from auglqr.model import symmetrize
 from auglqr.simulate import state_path
 
@@ -25,8 +27,23 @@ from _support import (
     full_solve,
     random_stabilizable_model,
     reference_path,
+    save_model,
     scalar_spec,
 )
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """The matrices np.linalg.eigvals is called on, in call order."""
+    calls = []
+    original = np.linalg.eigvals
+
+    def counted(m):
+        calls.append(np.array(m))
+        return original(m)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
 
 
 def oracle_loss(spec, anchored_x0, horizon):
@@ -82,6 +99,44 @@ class TestBuildClosedLoop:
         reg, aug, anchored, system = full_solve(spec)
         assert np.array_equal(reg.F_y, [[0.0]])
         assert system.T_cl[0, 0] == 0.0
+
+    def test_var_run_decides_each_spectrum_once(self, eigvals_calls, tmp_path, capsys):
+        spec = random_stabilizable_model(np.random.default_rng(0), 10, 10, 10, 10, 0.99)
+        path = tmp_path / "s10.json"
+        path.write_text(save_model(spec), encoding="utf-8")
+        eigvals_calls.clear()  # drawing the model ran its own checks
+        assert main(["var", "--model", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        calls = list(eigvals_calls)
+        # PBH gate, forcing gate, the solver's closed loop; none in build_closed_loop
+        checked = [spec.A_yy, spec.A_zz, solve_riccati(spec).A_cl]
+        assert len(calls) == len(checked)
+        for m, expected in zip(calls, checked):
+            assert np.array_equal(m, expected)
+
+    def test_carried_radius_travels_with_its_loop(self, golden_solved, eigvals_calls):
+        spec, reg, aug, anchored, _ = golden_solved
+        assert reg.radius_cl == spectral_radius(reg.A_cl)
+        assert spec.eigenvalues_zz.size == 1  # decided before counting
+        eigvals_calls.clear()
+        build_closed_loop(spec, reg, aug, anchored)
+        assert eigvals_calls == []
+        # the same values through a fresh array still count as the checked loop
+        build_closed_loop(spec, replace(reg, F_y=reg.F_y.copy()), aug, anchored)
+        assert eigvals_calls == []
+        # a moved gain, or a moved A_yy, gets its own decision
+        build_closed_loop(spec, replace(reg, F_y=reg.F_y * 0.99), aug, anchored)
+        moved = replace(spec, A_yy=spec.A_yy * 0.99)
+        build_closed_loop(moved, reg, aug, anchored)
+        # a replaced spec is a new model, so its A_zz is decided afresh too
+        expected = [
+            spec.A_yy + spec.B_y @ (reg.F_y * 0.99),
+            moved.A_yy + moved.B_y @ reg.F_y,
+            moved.A_zz,
+        ]
+        assert len(eigvals_calls) == len(expected)
+        for m, e in zip(eigvals_calls, expected):
+            assert np.array_equal(m, e)
 
     # the library's own guard for callers that skip run_checks and the
     # Riccati solver's stability check
