@@ -33,7 +33,7 @@ from .model import (
     variable_names,
 )
 from .oracle import FiniteHorizonSolution, backward_induction
-from .regulator import RegulatorSolution, riccati_rhs, solve_riccati
+from .regulator import RegulatorSolution, solve_riccati
 from .simulate import ClosedLoopSystem, Trajectory, build_closed_loop, irf, simulate_path
 from .varrep import VarRepresentation, to_var, var_simulate_check
 
@@ -64,7 +64,6 @@ __all__ = [
     "irf",
     "load_model",
     "rescale",
-    "riccati_rhs",
     "run_checks",
     "simulate_path",
     "solve_riccati",

@@ -10,9 +10,9 @@ and completes the rule u_t = F_y y_t + F_z z_t through
     F_z = -(R + b B' P_y B)^{-1} b B' (P_y A_yz + P_z A_zz).
 
 That is the Stein equation X = C + b M X N with C = Q_yz + b Abar' P_y A_yz,
-M = Abar' and N = A_zz, which ``kernel.stein`` solves by Smith doubling; it
-converges since Abar and A_zz lie inside 1/sqrt(b), and ``iterations``
-counts its doubling steps.
+M = Abar' and N = A_zz, which ``kernel.stein`` solves by Smith doubling
+under the stop rule of ``kernel.converge``; it converges since Abar and A_zz
+lie inside 1/sqrt(b), and ``iterations`` counts its doubling steps.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ class AugmentedSolution(kernel.Frozen):
 def solve_sylvester(spec: ModelSpec, reg: RegulatorSolution) -> AugmentedSolution:
     """Solve for P_z by ``kernel.stein``, then the feedforward gain F_z.
 
-    Raises :class:`DivergenceError` when the doubling explodes or exhausts
-    its steps.  With n_z = 0 the forcing terms vanish and empty matrices are
-    returned.
+    Raises :class:`DivergenceError` when the doubling diverges, does not
+    converge or stops at a wrong solution.  With n_z = 0 the forcing terms
+    vanish and empty matrices are returned.
     """
     dims = spec.dims
     if dims.n_z == 0:

@@ -32,9 +32,10 @@ from .errors import (
     ModelFormatError,
     SingularMatrixError,
 )
+from .kernel import DEFAULT_TOL
 from .model import load_model, validate, variable_names
 from .oracle import backward_induction
-from .regulator import DEFAULT_TOL, solve_riccati
+from .regulator import solve_riccati
 from .simulate import build_closed_loop, irf, simulate_path
 from .varrep import to_var
 

@@ -3,9 +3,8 @@
 All operations work on 2-D float64 numpy arrays; ``rank`` also takes complex
 ones.  Eigenvalues, ranks and solves delegate to the LAPACK routines behind
 ``numpy.linalg``, the only numerical dependency at run time.  :func:`stein`
-is the one solver of the linear matrix equations X = C + b M X N: the cross
-value matrix P_z and the closed loop's discounted loss are both its
-solutions; the Riccati doubling lives in ``regulator``.  :class:`Frozen` is
+solves X = C + b M X N for P_z and the loss, and :func:`converge` stops it
+and the Riccati doubling in ``regulator`` by one rule.  :class:`Frozen` is
 the base of every container the pipeline passes from stage to stage.
 """
 
@@ -13,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -31,6 +31,8 @@ MAX_ITER = 100
 BLOWUP = 1e100
 #: relative residual above which a converged Stein iterate is rejected
 STEIN_RTOL = 1e-8
+#: a doubling run, as :func:`converge` reads it: (X_{k+1}, X_{k+1} - X_k) per step
+Steps = Iterator[tuple[np.ndarray, np.ndarray]]
 
 # the ufunc reductions behind ndarray.sum and ndarray.max, called directly:
 # the norms run several times per doubling step, where a method's Python
@@ -152,39 +154,47 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inv @ b
 
 
+def converge(
+    iterates: Steps, name: str, tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, int, float]:
+    """Run a doubling to its stop: the one stop rule, divergence test and cap.
+
+    It stops at the first ||X_{k+1} - X_k||_inf <= tol (1 + ||X_{k+1}||_inf)
+    and returns (X, steps, ||X||_inf).  A non-finite step, an iterate beyond
+    ``BLOWUP`` or ``MAX_ITER`` steps without a stop raise DivergenceError with
+    ``name`` and the step size; under ``np.errstate``, with no warning first.
+    """
+    diff = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for steps, (x, step) in zip(range(1, MAX_ITER + 1), iterates):
+            diff, scale = inf_norm(step), inf_norm(x)
+            if not math.isfinite(diff) or scale > BLOWUP:
+                raise DivergenceError(
+                    f"{name} iteration diverged at iteration {steps} (step {diff:.3e})"
+                )
+            if diff <= tol * (1.0 + scale):
+                return x, steps, scale
+    raise DivergenceError(
+        f"{name} iteration did not converge within {MAX_ITER} iterations"
+        f" (last step {diff:.3e})"
+    )
+
+
 def stein(
     m: np.ndarray, n: np.ndarray, c: np.ndarray, beta: float
 ) -> tuple[np.ndarray, int, float]:
     """Solve X = C + b M X N, b = beta, by Smith doubling (Smith, 1968).
 
-    From X_0 = C, the step X_{k+1} = X_k + M_k X_k N_k with M_0 = sqrt(b) M,
-    N_0 = sqrt(b) N, M_{k+1} = M_k^2 and N_{k+1} = N_k^2 sums 2^k terms of
-    sum_j M_0^j C N_0^j; that converges when b rho(M) rho(N) < 1.  Stops when
-    ||X_{k+1} - X_k||_inf <= DEFAULT_TOL (1 + ||X_{k+1}||_inf) and returns
-    (X, steps, ||X - (C + b (M X N))||_inf).  Raises
-    :class:`DivergenceError`, with no numpy warning first, when the doubling
-    explodes (an overflowed M_k or N_k included), exhausts ``MAX_ITER``
-    steps, or stops at an X whose residual exceeds
-    STEIN_RTOL (||C||_inf + ||X||_inf): the iterates can settle on a wrong X
-    when a product of eigenvalues of sqrt(b) M and sqrt(b) N lies on the
-    unit circle.
+    From X_0 = C, X_{k+1} = X_k + M_k X_k N_k with M_0 = sqrt(b) M, N_0 =
+    sqrt(b) N, M_{k+1} = M_k^2 and N_{k+1} = N_k^2 sums 2^k terms of sum_j
+    M_0^j C N_0^j, which converges when b rho(M) rho(N) < 1.  Returns (X,
+    steps, ||X - (C + b (M X N))||_inf); the residual must stay within
+    STEIN_RTOL (||C||_inf + ||X||_inf), since a product of eigenvalues of
+    sqrt(b) M and sqrt(b) N on the unit circle can stall X at a wrong value.
     """
-    x, m_k, n_k = c, math.sqrt(beta) * m, math.sqrt(beta) * n
-    # an overflow surfaces as a non-finite step or a huge iterate below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for steps in range(1, MAX_ITER + 1):
-            step = m_k @ x @ n_k
-            x = x + step
-            diff, scale = inf_norm(step), inf_norm(x)
-            if not math.isfinite(diff) or scale > BLOWUP:
-                raise DivergenceError(f"Stein iteration diverged at iteration {steps}")
-            if diff <= DEFAULT_TOL * (1.0 + scale):
-                break
-            m_k, n_k = m_k @ m_k, n_k @ n_k
-        else:
-            raise DivergenceError(
-                f"Stein iteration did not converge within {MAX_ITER} iterations"
-            )
+    root = math.sqrt(beta)
+    x, steps, scale = converge(_smith(c, root * m, root * n), "Stein")
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge M can overflow M X
         residual = inf_norm(x - (c + beta * (m @ x @ n)))
     if not residual <= STEIN_RTOL * (inf_norm(c) + scale):
         raise DivergenceError(
@@ -192,3 +202,12 @@ def stein(
             f" (residual {residual:.3e})"
         )
     return x, steps, residual
+
+
+def _smith(x: np.ndarray, m_k: np.ndarray, n_k: np.ndarray) -> Steps:
+    """Smith doubling from X_0 = x, without end."""
+    while True:
+        step = m_k @ x @ n_k
+        x = x + step
+        yield x, step
+        m_k, n_k = m_k @ m_k, n_k @ n_k

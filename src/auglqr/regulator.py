@@ -14,10 +14,10 @@ A_0 = sqrt(b) A, G_0 = b B R^{-1} B', H_0 = Q_yy and with W = I + G_k H_k,
 
 H_k equals 2^k - 1 steps of the Riccati map from Q_yy (a 2^k-period
 horizon), so it converges quadratically in the doubling steps that
-``iterations`` counts.  The gain is defined with the sign convention
-F_y = -(R + b B' P B)^{-1} b B' P A, so the optimal rule reads u_t = F_y y_t
-and A + B F_y is the stable closed loop that every later step (Sylvester
-equation, simulation, change of basis) builds on.
+``iterations`` counts and ``kernel.converge`` stops.  The gain has the sign
+convention F_y = -(R + b B' P B)^{-1} b B' P A, so the optimal rule reads
+u_t = F_y y_t and A + B F_y is the stable closed loop that every later step
+(Sylvester equation, simulation, change of basis) builds on.
 
 Certainty equivalence holds: nothing here reads k0, z0 or any shock process,
 so P_y and F_y are bit-identical across initial conditions.
@@ -32,7 +32,6 @@ import numpy as np
 
 from . import kernel
 from .errors import DivergenceError, InstabilityError
-from .kernel import BLOWUP, DEFAULT_TOL, MAX_ITER
 from .model import ModelSpec, symmetrize
 
 #: the closed loop must clear 1/sqrt(beta) by at least this margin
@@ -44,18 +43,16 @@ class RegulatorSolution(kernel.Frozen):
     """Riccati fixed point P_y (symmetric PSD) and feedback gain F_y; the
     ``residual`` is ||riccati_rhs(P_y) - P_y||_inf.
 
-    ``A_cl`` is the closed loop A_yy + B_y F_y whose spectral radius
-    ``radius_cl`` the solver checked.  The pair travels together: a reader
-    reuses the radius only for that very matrix, so a solution whose F_y
-    was replaced gets its loop's radius recomputed.
+    ``radius_cl`` is the checked spectral radius of the closed loop ``A_cl`` =
+    A_yy + B_y F_y; a reader reuses it only while its loop equals ``A_cl``.
     """
 
     P_y: np.ndarray
     F_y: np.ndarray
     iterations: int
     residual: float
-    A_cl: np.ndarray | None = None
-    radius_cl: float | None = None
+    A_cl: np.ndarray
+    radius_cl: float
 
 
 def gain(spec: ModelSpec, p_y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -79,49 +76,19 @@ def _riccati_map(
     return symmetrize(symmetrize(spec.Q_yy) + spec.beta * (a.T @ P @ a) + w.T @ f)
 
 
-def solve_riccati(spec: ModelSpec, tol: float = DEFAULT_TOL) -> RegulatorSolution:
+def solve_riccati(spec: ModelSpec, tol: float = kernel.DEFAULT_TOL) -> RegulatorSolution:
     """Solve for the stabilizing fixed point by structure-preserving doubling.
 
-    Stops when ||H_{k+1} - H_k||_inf <= tol * (1 + ||H_{k+1}||_inf).  Raises
-    :class:`DivergenceError` when the doubling explodes, exhausts ``MAX_ITER``
-    steps or returns a matrix that is not positive semidefinite, and
-    :class:`InstabilityError` when the converged gain fails the closed-loop
-    spectral-radius margin.
+    ``kernel.converge`` stops the doubling at ``tol``.  Raises
+    :class:`DivergenceError` there and when H_k is not positive
+    semidefinite, and :class:`InstabilityError` when the gain fails the
+    closed-loop spectral-radius margin.
     """
     root = math.sqrt(spec.beta)
     b = root * spec.B_y
-    a_k = root * spec.A_yy
-    g_k = symmetrize(b @ kernel.solve_linear(symmetrize(spec.R), b.T))
-    h_k = symmetrize(spec.Q_yy)
-    n = len(a_k)
-    eye = np.eye(n)
-    diff = math.inf
-    # at n_y <= 3 a step's Python calls cost more than its arithmetic, so it
-    # calls nothing beyond the gated inverse and the two norms
-    for iteration in range(1, MAX_ITER + 1):
-        # one inverse of W = I + G_k H_k serves W^{-1} A_k and W^{-1} G_k
-        w_inv = kernel.solve_linear(eye + g_k @ h_k, np.concatenate((a_k, g_k), axis=1))
-        w_inv_a, w_inv_g = w_inv[:, :n], w_inv[:, n:]
-        h_next = h_k + a_k.T @ h_k @ w_inv_a
-        h_next = (h_next + h_next.T) / 2.0
-        g_k = g_k + a_k @ w_inv_g @ a_k.T
-        g_k = (g_k + g_k.T) / 2.0
-        a_k = a_k @ w_inv_a
-        diff = kernel.inf_norm(h_next - h_k)
-        scale = kernel.inf_norm(h_next)
-        if not math.isfinite(diff) or scale > BLOWUP:
-            raise DivergenceError(
-                f"Riccati iteration diverged at iteration {iteration}"
-                f" (step {diff:.3e})"
-            )
-        h_k = h_next
-        if diff <= tol * (1.0 + scale):
-            break
-    else:
-        raise DivergenceError(
-            f"Riccati iteration did not converge within {MAX_ITER} iterations"
-            f" (last step {diff:.3e})"
-        )
+    g_0 = symmetrize(b @ kernel.solve_linear(symmetrize(spec.R), b.T))
+    steps = _sda(root * spec.A_yy, g_0, symmetrize(spec.Q_yy))
+    h_k, iteration, scale = kernel.converge(steps, "Riccati", tol)
 
     # H_k is symmetric by construction and PSD up to roundoff; losing
     # definiteness signals numerical breakdown, not slow convergence
@@ -149,3 +116,21 @@ def solve_riccati(spec: ModelSpec, tol: float = DEFAULT_TOL) -> RegulatorSolutio
         A_cl=a_cl,
         radius_cl=radius,
     )
+
+
+def _sda(a_k: np.ndarray, g_k: np.ndarray, h_k: np.ndarray) -> kernel.Steps:
+    """Doubling of H_k from (A_0, G_0, H_0), without end."""
+    n = len(a_k)
+    eye = np.eye(n)
+    # at n_y <= 3 a call costs more than arithmetic: nothing but the gated inverse
+    while True:
+        # one inverse of W = I + G_k H_k serves W^{-1} A_k and W^{-1} G_k
+        w_inv = kernel.solve_linear(eye + g_k @ h_k, np.concatenate((a_k, g_k), axis=1))
+        w_inv_a, w_inv_g = w_inv[:, :n], w_inv[:, n:]
+        h_next = h_k + a_k.T @ h_k @ w_inv_a
+        h_next = (h_next + h_next.T) / 2.0
+        g_k = g_k + a_k @ w_inv_g @ a_k.T
+        g_k = (g_k + g_k.T) / 2.0
+        a_k = a_k @ w_inv_a
+        yield h_next, h_next - h_k
+        h_k = h_next

@@ -78,10 +78,8 @@ def build_closed_loop(
     n_y, n_z = spec.dims.n_y, spec.dims.n_z
     a_cl = spec.A_yy + spec.B_y @ reg.F_y
     sqrt_beta = math.sqrt(spec.beta)
-    if reg.A_cl is not None and np.array_equal(a_cl, reg.A_cl):
-        radius_cl = reg.radius_cl
-    else:
-        radius_cl = kernel.spectral_radius(a_cl)
+    same = np.array_equal(a_cl, reg.A_cl)
+    radius_cl = reg.radius_cl if same else kernel.spectral_radius(a_cl)
     if sqrt_beta * radius_cl >= 1.0:
         raise InstabilityError(
             f"closed feedback loop unstable: sqrt(beta) * {radius_cl:.6g} >= 1"
@@ -149,17 +147,15 @@ def simulate_path(
             )
         drive = shocks @ sys.impulse_loading.T
 
-    # the isfinite scan below owns overflow handling
+    # the isfinite scan owns overflow, in every printed path: mu can overflow first
     with np.errstate(over="ignore", invalid="ignore"):
         states = state_path(sys.T_cl, sys.state0, horizon, drive)
-        overflowed = ~np.isfinite(states).all(axis=1)
-        if overflowed.any():
-            raise DivergenceError(
-                f"simulated state overflowed at t = {int(np.argmax(overflowed))}"
-            )
         y, z = states[:, :n_y], states[:, n_y:]
         u = y @ reg.F_y.T + z @ aug.F_z.T
         mu = y @ reg.P_y.T + z @ aug.P_z.T
+    finite = np.isfinite(states).all(1) & np.isfinite(u).all(1) & np.isfinite(mu).all(1)
+    if not finite.all():
+        raise DivergenceError(f"simulated path overflowed at t = {np.argmin(finite)}")
 
     # in discounted states d_t = beta^(t/2) s_t the period loss is d_t' Qbar d_t:
     # no overflowed square of s_t ever meets an underflowed beta^t

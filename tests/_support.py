@@ -156,6 +156,28 @@ def single_input_model(rng: np.random.Generator, n_y: int, radius: float = 0.97)
     )
 
 
+def overflowing_doubling_model() -> ModelSpec:
+    """A_yy = diag(1e30, 0.5) with only the stable mode controlled, beta = 1.
+
+    The PBH gate rejects it.  Forced past the gate, the Riccati doubling
+    squares the uncontrolled mode until A_k overflows at step 5, before any
+    iterate reaches BLOWUP.
+    """
+    return ModelSpec(
+        dims=Dims(n_k=2, n_x=0, n_z=0, n_u=1),
+        beta=1.0,
+        A_yy=np.diag([1e30, 0.5]),
+        A_yz=np.zeros((2, 0)),
+        A_zz=np.zeros((0, 0)),
+        B_y=[[0.0], [1.0]],
+        Q_yy=np.diag([0.0, 1.0]),
+        Q_yz=np.zeros((2, 0)),
+        R=[[1.0]],
+        k0=[1.0, 1.0],
+        z0=[],
+    )
+
+
 def dense_stein_solution(spec: ModelSpec, reg) -> np.ndarray:
     """P_z from the dense Kronecker form of the Stein equation.
 

@@ -13,7 +13,6 @@ from auglqr import (
     anchor_x0,
     backward_induction,
     build_closed_loop,
-    riccati_rhs,
     run_checks,
     simulate_path,
     solve_riccati,
@@ -23,6 +22,7 @@ from auglqr import (
 )
 from auglqr.cli import main
 from auglqr.kernel import inf_norm, spectral_radius
+from auglqr.regulator import riccati_rhs
 
 from _support import (
     GOLDEN_F_Y,

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import auglqr
 from auglqr.cli import main
 
-from _support import MODELS_DIR, save_model, scalar_spec
+from _support import MODELS_DIR, overflowing_doubling_model, save_model, scalar_spec
 
 GOLDEN = str(MODELS_DIR / "golden.json")
 BACK = str(MODELS_DIR / "back.json")
@@ -50,6 +51,20 @@ class TestExitStatuses:
         assert code == 2
         assert "diverged" in err
         assert "[riccati]" in err
+
+    def test_forced_overflowing_doubling_prints_no_numpy_warning(self, capsys, tmp_path):
+        path = tmp_path / "overflow.json"
+        path.write_text(save_model(overflowing_doubling_model()), encoding="utf-8")
+        # record every warning, where a plain process would print it to stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "solve", "--model", str(path), "--force")
+        assert [str(w.message) for w in caught] == []
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "warning [checks]: controllability rank 1 < 2 (forced)",
+            "error [riccati]: Riccati iteration diverged at iteration 5 (step nan)",
+        ]
 
     def test_explosive_forcing_rejected_even_with_force(self, capsys):
         code, out, _ = run(capsys, "solve", "--model", EXPLOSIVE, "--force")
@@ -254,26 +269,30 @@ class TestTrajectoryCommands:
     def test_long_discounted_path_keeps_a_finite_loss(self, capsys, tmp_path):
         # the closed loop sits just inside 1/sqrt(beta) = 1.414: states grow like
         # 1.41^t, so their squares overflow while beta^t underflows, well before
-        # the states themselves overflow at t = 2067
+        # the multiplier mu = P_y k overflows at t = 2052 (the states at 2067)
         spec = scalar_spec(
             beta=0.5, a=1.41, b=1e-3, forward=False, a_yz=0.0, a_zz=0.5, z0=0.0
         )
         path = tmp_path / "edge.json"
         path.write_text(save_model(spec), encoding="utf-8")
         totals = {}
-        for horizon in (500, 1100, 2067):
+        for horizon in (500, 1100, 2052):
             code, out, err = run(
                 capsys, "simulate", "--model", str(path), "--horizon", str(horizon)
             )
             assert (code, err) == (0, ""), horizon
+            assert "Infinity" not in out, horizon
             report = json.loads(out)
             assert math.isfinite(report["loss"]), horizon
             totals[horizon] = report["loss"] + report["truncation_bound"]
         assert totals[1100] == pytest.approx(totals[500], rel=1e-10)
-        assert totals[2067] == pytest.approx(totals[500], rel=1e-10)
-        code, out, err = run(capsys, "simulate", "--model", str(path), "--horizon", "2100")
-        assert (code, out) == (2, "")
-        assert err == "error [simulate]: simulated state overflowed at t = 2067\n"
+        assert totals[2052] == pytest.approx(totals[500], rel=1e-10)
+        for horizon in (2053, 2100):
+            code, out, err = run(
+                capsys, "simulate", "--model", str(path), "--horizon", str(horizon)
+            )
+            assert (code, out) == (2, ""), horizon
+            assert err == "error [simulate]: simulated path overflowed at t = 2052\n"
 
     def test_noise_seed_is_deterministic_and_reported(self, capsys):
         code, first, err = run(

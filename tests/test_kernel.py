@@ -176,6 +176,63 @@ def loop_sylvester(spec, reg):
     return p_z, iteration, kernel.inf_norm(p_z - target)
 
 
+def iterates(x, steps, drawn=None):
+    """(X, step) pairs for kernel.converge: a fixed 1x1 X, the given step
+    values, then step 1.0 forever; ``drawn`` counts the pairs taken."""
+    values = iter(steps)
+    while True:
+        if drawn is not None:
+            drawn.append(1)
+        yield np.array([[x]]), np.array([[next(values, 1.0)]])
+
+
+@pytest.mark.parametrize("name", ["Riccati", "Stein"])
+class TestConverge:
+    def test_stops_at_the_first_step_within_tol(self, name):
+        # tol (1 + ||X||) = 2e-12 and the rule is inclusive
+        drawn = []
+        x, steps, scale = kernel.converge(
+            iterates(1.0, [1.0, 1e-3, 2e-12], drawn), name, 1e-12
+        )
+        assert (x.tolist(), steps, scale, len(drawn)) == ([[1.0]], 3, 1.0, 3)
+
+    def test_cap_draws_max_iter_steps(self, name):
+        drawn = []
+        with pytest.raises(
+            DivergenceError,
+            match=rf"^{name} iteration did not converge within 100 iterations"
+            r" \(last step 1\.000e\+00\)$",
+        ):
+            kernel.converge(iterates(1.0, [], drawn), name)
+        assert len(drawn) == kernel.MAX_ITER
+
+    @pytest.mark.parametrize(
+        "x, step, message",
+        [
+            (1.0, 1e300 * 1e300, r"step inf"),
+            (1.0, np.inf - np.inf, r"step nan"),
+            (2e100, 1.0, r"step 1\.000e\+00"),
+        ],
+        ids=["overflow", "invalid", "blowup"],
+    )
+    def test_divergence_names_the_step(self, name, x, step, message):
+        expected = rf"^{name} iteration diverged at iteration 1 \({message}\)$"
+        with pytest.raises(DivergenceError, match=expected):
+            kernel.converge(iterates(x, [step]), name)
+
+    def test_steps_run_without_numpy_warnings(self, name):
+        def overflowing():
+            big = np.array([[1e200]])
+            while True:
+                big = big @ big  # overflows at the first step, invalid at the next
+                yield big, big - big
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=r"diverged at iteration 1 \(step nan\)$"):
+                kernel.converge(overflowing(), name)
+
+
 class TestStein:
     @pytest.mark.parametrize("p, q", [(1, 1), (3, 3), (6, 2), (2, 7)])
     @pytest.mark.parametrize("beta", [0.5, 0.95, 1.0])
@@ -201,9 +258,12 @@ class TestStein:
     @pytest.mark.parametrize(
         "m, n, beta, message",
         [
-            (1.2 * np.eye(2), np.eye(1), 1.0, "diverged at iteration"),
-            (np.eye(2), np.eye(1), 1.0, "did not converge within 100 iterations"),
-            (np.array([[1.5]]), np.array([[1.5]]), 0.5, "diverged at iteration"),
+            (1.2 * np.eye(2), np.eye(1), 1.0, r"diverged at iteration 11 \(step 7\.281e\+162\)"),
+            # X doubles each step and stays far below BLOWUP: the step cap stops it
+            (np.eye(2), np.eye(1), 1.0, r"did not converge within 100 iterations"
+             r" \(last step 6\.338e\+29\)"),
+            (np.array([[1.5]]), np.array([[1.5]]), 0.5,
+             r"diverged at iteration 11 \(step 4\.607e\+105\)"),
         ],
         ids=["explosive", "unit", "beta-scaled"],
     )
@@ -211,7 +271,7 @@ class TestStein:
         radius = kernel.spectral_radius(m) * kernel.spectral_radius(n) * beta
         assert radius >= 1.0
         c = np.ones((m.shape[0], n.shape[0]))
-        with pytest.raises(DivergenceError, match=f"^Stein iteration {message}"):
+        with pytest.raises(DivergenceError, match=f"^Stein iteration {message}$"):
             kernel.stein(m, n, c, beta)
 
     def test_wrong_fixed_point_is_rejected(self):

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,7 +14,6 @@ from auglqr import (
     backward_induction,
     build_closed_loop,
     irf,
-    riccati_rhs,
     run_checks,
     simulate_path,
     solve_riccati,
@@ -22,6 +22,7 @@ from auglqr import (
 )
 from auglqr.kernel import MAX_ITER, inf_norm, spectral_radius
 from auglqr.model import symmetrize
+from auglqr.regulator import riccati_rhs
 
 from _support import (
     BACK_F_Y,
@@ -30,6 +31,7 @@ from _support import (
     GOLDEN_P_Y,
     HARD_CASES,
     load_fixture,
+    overflowing_doubling_model,
     random_stabilizable_model,
     scalar_riccati_root,
     scalar_spec,
@@ -267,9 +269,24 @@ class TestSolveRiccati:
         beta = 0.9
         spec = scalar_spec(beta=beta, a=1.0 / math.sqrt(beta), b=0.0)
         start = time.perf_counter()
-        with pytest.raises(DivergenceError, match="did not converge"):
+        with pytest.raises(
+            DivergenceError,
+            match=r"^Riccati iteration did not converge within 100 iterations"
+            r" \(last step 6\.338e\+29\)$",
+        ):
             solve_riccati(spec)
         assert time.perf_counter() - start < 1.0
+
+    def test_overflowing_doubling_raises_without_a_warning(self):
+        # A_k = diag(1e30, .)^(2^k) overflows at step 5, before H_k reaches
+        # BLOWUP: the overflow must surface as divergence, not a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                DivergenceError,
+                match=r"^Riccati iteration diverged at iteration 5 \(step nan\)$",
+            ):
+                solve_riccati(overflowing_doubling_model())
 
     def test_non_stabilizing_fixed_point_rejected(self):
         # Q_yy = 0 leaves the explosive mode 2 unobserved: doubling converges
