@@ -185,12 +185,12 @@ def _render_report(report: dict, fmt: str) -> str:
     return "key,value\n" + "\n".join(lines) + "\n"
 
 
-#: a JSON cell's printf spec (plain, integral, pre-rendered text) followed by
-#: the separator after it (within a row, at a row's end, after the last row)
+#: a JSON cell's printf spec (plain, integral, pre-rendered text) followed by a
+#: separator (in a row, at its end, after the last row) or a settled row's rest
 _JSON_CELLS = np.array(
     [
         spec + sep
-        for sep in (",\n      ", "\n    ],\n    [\n      ", "")
+        for sep in (",\n      ", "\n    ],\n    [\n      ", "", "%s")
         for spec in ("%.12g", "%.1f", "%s")
     ],
     dtype=object,
@@ -206,6 +206,11 @@ def _render_table(columns: list[str], rows: np.ndarray, fmt: str, extra: dict) -
     The cells fill a template of printf specs, one per cell, in a single
     ``template % values``; the labels go into the header, never into the
     template, so a ``%`` in a label is printed as it is.
+
+    A path that settles at a fixed point ends in rows whose cells after t
+    repeat the last row's bit for bit.  The first such row prints in full;
+    the text after its t cell is rendered once and fills every later row as
+    one ``%s`` value, so each of those costs only its own t cell.
 
     For most JSON cells ``%.12g`` already prints that repr.  The text of a
     finite normal double has at most 12 significant digits with trailing
@@ -224,18 +229,26 @@ def _render_table(columns: list[str], rows: np.ndarray, fmt: str, extra: dict) -
       0 < |v| < 2.3e-308;
     - nan, inf and -inf: pre-rendered as NaN, Infinity and -Infinity.
 
-    Pre-rendered text is computed once per distinct value: a long path
-    that settles at a fixed point repeats the same few subnormals
-    thousands of times.  No two distinct values in that set compare equal,
-    since it holds neither nan nor a zero.
+    Pre-rendered text is computed once per distinct value; no two distinct
+    values in that set compare equal, since it holds neither nan nor a zero.
     """
-    horizon, width = rows.shape
-    flat = rows.ravel()
+    width = rows.shape[1]
+    rest = rows[:, 1:].view(np.uint64)  # bits: -0.0 is not 0.0, nan is nan
+    ends = rest if (rest[-2:] == rest[-1]).all() else rest[-2:]  # else none settled
+    moved = np.flatnonzero((ends != rest[-1]).any(axis=1)) + len(rest) - len(ends)
+    settled = int(moved[-1]) + 1 if moved.size else 0
+    lead, times = rows[: settled + 1], rows[settled + 1 :, 0]
+    tail = [None] * (2 * len(times))  # t cell, then the settled remainder
     if fmt == "csv":
         header = ",".join(_csv_field(c) for c in columns)
-        table = "\n".join([",".join(["%.12g"] * width)] * horizon)
-        return header + "\n" + table % tuple(flat.tolist()) + "\n"
+        remainder = (",%.12g" * (width - 1)) % tuple(lead[-1, 1:].tolist())
+        tail[::2], tail[1::2] = times.tolist(), [remainder] * len(times)
+        table = [",".join(["%.12g"] * width)] * len(lead) + ["%.12g%s"] * len(times)
+        values = lead.ravel().tolist()
+        values += tail  # in place: a copy of every cell would cost milliseconds
+        return header + "\n" + "\n".join(table) % tuple(values) + "\n"
 
+    flat = np.concatenate([lead.ravel(), times]) if len(times) else lead.ravel()
     values = flat.tolist()
     with np.errstate(invalid="ignore"):  # inf - rint(inf)
         size = np.abs(flat)
@@ -249,10 +262,22 @@ def _render_table(columns: list[str], rows: np.ndarray, fmt: str, extra: dict) -
         values[i] = text[values[i]]
     for i in np.flatnonzero(~finite).tolist():
         values[i] = json.dumps(values[i])
-    kind = (integer + 2 * (exact | ~finite)).reshape(horizon, width)
-    kind[:, -1] += 3  # row ends
-    kind[-1, -1] += 3  # the last cell
-    table = "".join(_JSON_CELLS[kind.ravel()].tolist()) % tuple(values)
+    kind = integer + 2 * (exact | ~finite)
+    cells = kind[: lead.size].reshape(len(lead), width)
+    cells[:, -1] += 3  # row ends
+    if tail:
+        # the settled row after its t cell: the row with t printed empty
+        row, cut = cells[-1].copy(), ["", *values[lead.size - width + 1 : lead.size]]
+        row[0] += 2 - row[0] % 3
+        tail[1::2] = ["".join(_JSON_CELLS[row].tolist()) % tuple(cut)] * len(times)
+        row[-1] += 3
+        tail[-1] = "".join(_JSON_CELLS[row].tolist()) % tuple(cut)
+        tail[::2] = values[lead.size :]
+        values[lead.size :] = tail
+        kind[lead.size :] += 9
+    else:
+        cells[-1, -1] += 3  # the last cell
+    table = "".join(_JSON_CELLS[kind].tolist()) % tuple(values)
     # json.dumps(indent=2) lays out the rest of the report, with the rows
     # last; the table replaces the empty row list it ends with
     head = json.dumps(_jsonable({**extra, "columns": columns, "rows": []}), indent=2)

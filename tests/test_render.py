@@ -108,6 +108,55 @@ def test_csv_table_matches_per_cell_renderer(table):
         assert new == old
 
 
+# the cells a path settles on, and the t cells beside them
+settled_cells = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -1e-323]),
+    st.floats(-SMALLEST_NORMAL, SMALLEST_NORMAL),
+    cells,
+)
+times = st.one_of(
+    st.integers(0, 10**5).map(float),
+    st.floats(0, 1e4),  # non-integral
+    st.floats(1e12, 1e17),
+    st.just(math.nan),
+    st.floats(),
+)
+
+
+@st.composite
+def settled_tables(draw):
+    """Tables that end in rows repeating one row's cells after t bit for bit.
+
+    The row before them may hold the same values with every zero's sign
+    flipped, which == cannot tell apart.
+    """
+    columns, rows, extra = draw(tables())
+    if draw(st.booleans()):
+        rows = rows[:0]  # the whole table settled
+    width = len(columns)
+    settled = draw(st.lists(settled_cells, min_size=width - 1, max_size=width - 1))
+    block = [settled] * draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        block = [[-v if v == 0 else v for v in settled]] + block
+    t = draw(st.lists(times, min_size=len(block), max_size=len(block)))
+    tail = np.array([[t_cell, *row] for t_cell, row in zip(t, block)], dtype=float)
+    return columns, np.vstack([rows, tail]), extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(settled_tables())
+def test_settled_rows_match_per_cell_renderers(table):
+    columns, rows, extra = table
+    assert _render_table(columns, rows, "json", extra) == old_render_table(
+        columns, rows, "json", extra
+    )
+    new = _render_table(columns, rows, "csv", extra)
+    body = old_render_table(columns, rows, "csv", extra)[len(",".join(columns)) + 1 :]
+    assert new.endswith("\n" + body)
+    header = new[: len(new) - len(body) - 1]
+    assert list(csv.reader(io.StringIO(header, newline=""))) == [columns]
+
+
 @pytest.mark.parametrize("path", ["simulate", "irf"])
 @pytest.mark.parametrize("solved", ["golden_solved", "back_solved"])
 def test_json_table_matches_per_cell_encoder_at_long_horizon(request, solved, path):

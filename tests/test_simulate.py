@@ -17,7 +17,7 @@ from auglqr import (
 from auglqr.cli import main
 from auglqr.kernel import solve_linear, spectral_radius, stein
 from auglqr.model import symmetrize
-from auglqr.simulate import state_path
+from auglqr.simulate import _SETTLE_CHUNK, state_path
 
 from _support import (
     GOLDEN_ABAR,
@@ -305,6 +305,154 @@ class TestStatePathMatchesLoop:
         assert 0 < first < horizon - 1
         with pytest.raises(DivergenceError, match=rf"overflowed at t = {first}$"):
             simulate_path(runaway, spec, reg, aug, horizon, shocks)
+
+
+@pytest.fixture
+def dot_calls(monkeypatch):
+    """The number of np.dot calls made so far (state_path steps with np.dot)."""
+    calls = [0]
+    original = np.dot
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "dot", counted)
+    return calls
+
+
+def dot_state_path(transition, start, horizon):
+    """state_path's arithmetic with no stop: one np.dot into every row.
+
+    It is the sign reference: the loop's ``@`` sums from +0.0, so where
+    np.dot returns -0.0 (-0.5 times 5e-324) the loop has +0.0.
+    """
+    states = np.empty((horizon, len(start)))
+    states[0] = start
+    for t in range(1, horizon):
+        np.dot(transition, states[t - 1], out=states[t])
+    return states
+
+
+def same_rows_as_loop(transition, start, horizon):
+    """state_path's rows, after checking them against the loop's values (nan
+    where it has nan) and, bit for bit, against dot_state_path's: the sign
+    of every zero and the payload of every nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        old = loop_state_path(transition, start, horizon)
+        bits = dot_state_path(transition, start, horizon)
+        new = state_path(transition, start, horizon)
+    assert np.array_equal(new, old, equal_nan=True)
+    assert np.array_equal(np.signbit(new), np.signbit(bits))
+    assert new.tobytes() == bits.tobytes()
+    return new
+
+
+def first_repeat(states):
+    """The first t whose row equals row t - 1 bit for bit, or None."""
+    for t in range(1, len(states)):
+        if states[t].tobytes() == states[t - 1].tobytes():
+            return t
+    return None
+
+
+def shift(m):
+    """The m x m nilpotent shift: from e_0 the path reaches zero at row m and
+    first repeats a row at m + 1."""
+    return np.eye(m, k=-1)
+
+
+class TestSettlingPathMatchesLoop:
+    """An undriven path stops stepping at its bitwise fixed point, and every
+    row it copies from there is the row the loop computes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 40, 90])
+    def test_zero_fixed_point(self, n):
+        rng = np.random.default_rng(n)
+        transition = rng.normal(size=(n, n))
+        transition *= 0.5 / spectral_radius(transition)
+        states = same_rows_as_loop(transition, rng.normal(size=n), 3000)
+        settled = first_repeat(states)
+        assert settled is not None and settled < 1200
+        assert not states[-1].any()
+
+    def test_negative_zero_fixed_point(self):
+        states = same_rows_as_loop(np.array([[0.5]]), np.array([-1.0]), 3000)
+        assert first_repeat(states) < 1200
+        assert states[-1, 0] == 0.0 and np.signbit(states[-1, 0])
+
+    def test_subnormal_fixed_point(self, back_solved):
+        _, _, _, _, system = back_solved
+        states = same_rows_as_loop(system.T_cl, system.state0, 10_000)
+        settled = first_repeat(states)
+        assert settled is not None and settled < 9_000
+        assert states[-1, 0] == 0.0 and 0.0 < states[-1, 1] < 2.3e-308
+        scalar = same_rows_as_loop(np.array([[0.9]]), np.array([1.0]), 10_000)
+        assert 0.0 < scalar[-1, 0] < 2.3e-308 and first_repeat(scalar) is not None
+
+    @pytest.mark.parametrize(
+        "a, tiny, horizon",
+        [(-0.9, 2.5e-323, 8000), (-0.5, 0.0, 3000)],
+        ids=["subnormals", "zeros"],
+    )
+    def test_sign_flipping_cycle_runs_to_the_end(self, dot_calls, a, tiny, horizon):
+        # -0.9 ends in the 2-cycle +-5 ulp; -0.5 in the 2-cycle +-0.0, rows
+        # that compare equal with == but are not the same bits
+        states = same_rows_as_loop(np.array([[a]]), np.array([1.0]), horizon)
+        dot_calls[0] = 0
+        state_path(np.array([[a]]), np.array([1.0]), horizon)
+        assert dot_calls[0] == horizon - 1
+        assert first_repeat(states) is None
+        assert np.abs(states[-2:, 0]).tolist() == [tiny, tiny]
+        assert np.signbit(states[-2, 0]) != np.signbit(states[-1, 0])
+
+    @pytest.mark.parametrize(
+        "transition, start",
+        [([[1e300]], [1.0]), ([[1e300, -1e300], [1e300, -1e300]], [1.0, 0.5])],
+        ids=["inf", "nan"],
+    )
+    def test_non_finite_fixed_point(self, transition, start):
+        states = same_rows_as_loop(np.array(transition), np.array(start), 500)
+        assert first_repeat(states) < 5
+        assert not np.isfinite(states[-1]).any()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("size", [-2, -1, 0, _SETTLE_CHUNK - 1])
+    def test_fixed_point_at_a_chunk_boundary(self, dot_calls, size, offset):
+        m = _SETTLE_CHUNK + size  # the first repeat is row m + 1
+        start = np.eye(m)[0]
+        full = same_rows_as_loop(shift(m), start, 3 * _SETTLE_CHUNK)
+        assert first_repeat(full) == m + 1
+        dot_calls[0] = 0
+        state_path(shift(m), start, 3 * _SETTLE_CHUNK)
+        # stepped to the end of the chunk that holds the first repeat, no further
+        assert dot_calls[0] == -(-(m + 1) // _SETTLE_CHUNK) * _SETTLE_CHUNK
+        # horizons that end just before, at and just after the first repeat
+        states = same_rows_as_loop(shift(m), start, m + 1 + offset)
+        assert np.array_equal(states, full[: m + 1 + offset])
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+    def test_horizon_ending_at_the_settle_row(self, back_solved, offset):
+        _, _, _, _, system = back_solved
+        full = state_path(system.T_cl, system.state0, 10_000)
+        horizon = first_repeat(full) + offset
+        states = same_rows_as_loop(system.T_cl, system.state0, horizon)
+        assert np.array_equal(states, full[:horizon])
+
+    def test_golden_irf_stops_at_its_fixed_point(self, golden_solved, dot_calls):
+        spec, reg, aug, _, system = golden_solved
+        traj = irf(system, spec, reg, aug, 10_000, 0)  # np.dot runs in state_path only
+        assert dot_calls[0] <= 1_076 + _SETTLE_CHUNK
+        assert not traj.y[1_076:].any() and not traj.z[1_076:].any()
+
+    @pytest.mark.parametrize("driven", [False, True], ids=["free", "driven"])
+    def test_path_that_never_settles_steps_every_period(self, dot_calls, driven):
+        # the simulate-long benchmark's forcing radius: 0.999^t stays normal
+        transition = np.array([[0.5, 1.0], [0.0, 0.999]])
+        drive = np.zeros((10_000, 2)) if driven else None
+        states = state_path(transition, np.array([0.0, 1.0]), 10_000, drive)
+        assert dot_calls[0] == 10_000 - 1
+        assert first_repeat(states) is None
 
 
 def rel_gap(value, ref) -> float:

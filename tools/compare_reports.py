@@ -1,0 +1,144 @@
+"""Compare the CLI reports of the working tree with those of a git revision.
+
+    python3 tools/compare_reports.py --base HEAD
+
+Run it from anywhere inside the repository.  It extracts ``REV`` with
+``git archive`` into a temporary directory, writes the seed-0 models of
+every ``perfbench/gen.py`` workload next to the files in ``models/``, and
+runs one fixed argv matrix through in-process ``auglqr.cli.main``, once
+under each tree's ``src/``, the two trees in parallel processes:
+
+- every model, the seven subcommands, JSON and CSV, with and without
+  ``--force``;
+- ``simulate``, ``simulate --noise-seed 0`` and ``irf`` with ``--force``,
+  JSON and CSV, at horizons 1, 500 and 10,000, and at 1,076-1,078 and
+  3,333-3,335, where the golden and back paths reach their fixed points.
+
+It prints every argv whose exit status, stdout or stderr differs between
+the trees and exits 1 if there is one, 0 if there is none, and 2 if REV
+cannot be archived or a run fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+WORKLOADS = ("cli-mix", "solve-ladder", "riccati-hard", "simulate-long")
+COMMANDS = ("validate", "check", "solve", "simulate", "irf", "var", "oracle-compare")
+PATH_COMMANDS = (("simulate",), ("simulate", "--noise-seed", "0"), ("irf",))
+HORIZONS = (1, 500, 10_000, 1_076, 1_077, 1_078, 3_333, 3_334, 3_335)
+FORMATS = ("json", "csv")
+
+
+def gather_models(root: Path, out: Path) -> list[Path]:
+    """``models/*.json`` and the seed-0 workload models, one file per content."""
+    for workload in WORKLOADS:
+        subprocess.run(
+            [sys.executable, str(root / "perfbench" / "gen.py"), "--workload", workload,
+             "--seed", "0", "--out", str(out / workload),
+             "--fixtures", str(root / "models")],
+            check=True, stdout=subprocess.DEVNULL,
+        )
+    seen: dict[bytes, Path] = {}
+    for path in sorted((root / "models").glob("*.json")) + sorted(out.glob("*/*.json")):
+        seen.setdefault(hashlib.sha256(path.read_bytes()).digest(), path)
+    return list(seen.values())
+
+
+def argv_matrix(models: list[Path]) -> list[list[str]]:
+    matrix = []
+    for model in models:
+        for command in COMMANDS:
+            for fmt in FORMATS:
+                for force in ((), ("--force",)):
+                    matrix.append([command, "--model", str(model), "--format", fmt, *force])
+        for command in PATH_COMMANDS:
+            for horizon in HORIZONS:
+                for fmt in FORMATS:
+                    matrix.append([*command, "--model", str(model), "--format", fmt,
+                                   "--horizon", str(horizon), "--force"])
+    return matrix
+
+
+def run_matrix(src: str, matrix_file: str, out_file: str) -> None:
+    """Run every argv of ``matrix_file`` through ``cli.main`` from ``src``.
+
+    Writes one [exit status, stdout sha256, stderr] entry per argv.
+    """
+    from auglqr import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"auglqr imported from {cli.__file__}, not from {src}")
+    results = []
+    for argv in json.loads(Path(matrix_file).read_text(encoding="utf-8")):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        results.append([code, digest, err.getvalue()])
+    Path(out_file).write_text(json.dumps(results), encoding="utf-8")
+
+
+def start_run(src: Path, matrix_file: Path, out_file: Path) -> subprocess.Popen:
+    code = (
+        f"import sys; sys.path[:0] = [{str(src)!r}, {str(Path(__file__).parent)!r}]; "
+        f"import compare_reports; "
+        f"compare_reports.run_matrix({str(src)!r}, {str(matrix_file)!r}, {str(out_file)!r})"
+    )
+    return subprocess.Popen([sys.executable, "-c", code], cwd=src.parent)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, metavar="REV", help="git revision")
+    args = parser.parse_args(argv)
+    root = Path(
+        subprocess.run(["git", "rev-parse", "--show-toplevel"], check=True,
+                       capture_output=True, text=True).stdout.strip()
+    )
+    with tempfile.TemporaryDirectory(prefix="compare-reports-") as tmp:
+        work = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(root), "archive", args.base],
+                                 capture_output=True)
+        if archive.returncode != 0:
+            print(archive.stderr.decode(errors="replace"), end="", file=sys.stderr)
+            return 2
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(work / "base", filter="data")
+        matrix = argv_matrix(gather_models(root, work / "models"))
+        matrix_file = work / "matrix.json"
+        matrix_file.write_text(json.dumps(matrix), encoding="utf-8")
+        trees = {"base": work / "base" / "src", "head": root / "src"}
+        runs = {name: start_run(src, matrix_file, work / f"{name}.json")
+                for name, src in trees.items()}
+        if any([run.wait() != 0 for run in runs.values()]):  # wait for both
+            print("a run failed", file=sys.stderr)
+            return 2
+        base, head = (json.loads((work / f"{name}.json").read_text(encoding="utf-8"))
+                      for name in trees)
+
+    differing = 0
+    for argv, old, new in zip(matrix, base, head):
+        parts = [part for part, a, b in zip(("exit", "stdout", "stderr"), old, new) if a != b]
+        if parts:
+            differing += 1
+            print(f"{' '.join(argv)}: {', '.join(parts)} differ")
+            if "exit" in parts:
+                print(f"  exit {old[0]} -> {new[0]}")
+            if "stderr" in parts:
+                print(f"  stderr {old[2]!r} -> {new[2]!r}")
+    print(f"{differing} of {len(matrix)} argvs differ between {args.base} and the working tree")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
