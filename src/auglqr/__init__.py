@@ -2,13 +2,13 @@
 
 The pipeline, in order: validate a model, screen it for stabilizability (a
 PBH test of the modes on or outside 1/sqrt(beta), and a stable forcing
-block), solve the Riccati equation for the feedback gain, solve the
-Sylvester equation for the feedforward gain on exogenous forcing variables,
-anchor the forward-looking variables at date 0 through the zero-multiplier
-condition, simulate the closed loop (paths, impulse responses, discounted
-loss, multipliers), and optionally change basis to an autoregressive
-representation in observables.  A backward-induction oracle provides an
-independent finite-horizon route for verification.
+block), then ``solve``, the one chain of the solver's stages: the Riccati
+equation for the feedback gain, the Sylvester equation for the feedforward
+gain on exogenous forcing variables, the anchoring of the forward-looking
+variables at date 0 by the zero-multiplier condition, and the closed loop.
+Simulate it (paths, impulse responses, discounted loss, multipliers), and
+optionally change basis to an autoregressive representation in observables.
+A backward-induction oracle gives an independent finite-horizon check.
 """
 
 from .anchor import AnchoredState, anchor_x0
@@ -33,6 +33,7 @@ from .model import (
     variable_names,
 )
 from .oracle import FiniteHorizonSolution, backward_induction
+from .pipeline import solve
 from .regulator import RegulatorSolution, solve_riccati
 from .simulate import ClosedLoopSystem, Trajectory, build_closed_loop, irf, simulate_path
 from .varrep import VarRepresentation, to_var, var_simulate_check
@@ -66,6 +67,7 @@ __all__ = [
     "rescale",
     "run_checks",
     "simulate_path",
+    "solve",
     "solve_riccati",
     "solve_sylvester",
     "to_var",

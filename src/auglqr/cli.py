@@ -22,8 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .anchor import anchor_x0
-from .augmented import solve_sylvester
 from .checks import run_checks
 from .errors import (
     DimensionError,
@@ -35,8 +33,8 @@ from .errors import (
 from .kernel import DEFAULT_TOL
 from .model import load_model, validate, variable_names
 from .oracle import backward_induction
-from .regulator import solve_riccati
-from .simulate import build_closed_loop, irf, simulate_path
+from .pipeline import solve
+from .simulate import irf, simulate_path
 from .varrep import to_var
 
 EXIT_OK = 0
@@ -345,12 +343,7 @@ def _dispatch(args, at) -> tuple[str, int]:
     if not check.controllable:
         _diag("warning [checks]: " + "; ".join(check.failures()) + " (forced)")
 
-    at("riccati")
-    reg = solve_riccati(spec, tol=args.tol_riccati)
-    at("sylvester")
-    aug = solve_sylvester(spec, reg)
-    at("anchor")
-    anchored = anchor_x0(spec, reg, aug)
+    reg, aug, anchored, system = solve(spec, args.tol_riccati, at)
 
     if args.command == "solve":
         body = {
@@ -383,9 +376,6 @@ def _dispatch(args, at) -> tuple[str, int]:
             "max_dev_F_z": gap(aug.F_z, sol.F_z_T),
         }
         return _render_report(body, args.format), EXIT_OK
-
-    at("closed-loop")
-    system = build_closed_loop(spec, reg, aug, anchored)
 
     if args.command == "var":
         at("var-basis")

@@ -13,12 +13,8 @@ from auglqr import (
     Dims,
     ModelSpec,
     RegulatorSolution,
-    anchor_x0,
-    build_closed_loop,
     load_model,
     run_checks,
-    solve_riccati,
-    solve_sylvester,
 )
 from auglqr.model import _MATRIX_FIELDS, _VECTOR_FIELDS
 
@@ -71,14 +67,6 @@ def save_model(spec: ModelSpec) -> str:
     if spec.labels is not None:
         doc["labels"] = spec.labels
     return json.dumps(doc, indent=2) + "\n"
-
-
-def full_solve(spec: ModelSpec):
-    """(reg, aug, anchored, system): Riccati, Sylvester, anchor, closed loop."""
-    reg = solve_riccati(spec)
-    aug = solve_sylvester(spec, reg)
-    anchored = anchor_x0(spec, reg, aug)
-    return reg, aug, anchored, build_closed_loop(spec, reg, aug, anchored)
 
 
 def scalar_riccati_root(beta: float, a: float, b: float, q: float, r: float) -> float:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from auglqr import solve_riccati, solve_sylvester
+from auglqr import solve
 
-from _support import SUITE_DIMS, full_solve, load_fixture, random_stabilizable_model
+from _support import SUITE_DIMS, load_fixture, random_stabilizable_model
 
 
 @pytest.fixture(scope="session")
@@ -31,19 +31,14 @@ def suite_models(golden_spec, back_spec):
 @pytest.fixture(scope="session")
 def solved_suite(suite_models):
     """Each suite model with its Riccati and Sylvester solutions."""
-    return [
-        (name, spec, reg, solve_sylvester(spec, reg))
-        for name, spec, reg in (
-            (name, spec, solve_riccati(spec)) for name, spec in suite_models
-        )
-    ]
+    return [(name, spec, *solve(spec)[:2]) for name, spec in suite_models]
 
 
 @pytest.fixture(scope="session")
 def golden_solved(golden_spec):
-    return (golden_spec, *full_solve(golden_spec))
+    return (golden_spec, *solve(golden_spec))
 
 
 @pytest.fixture(scope="session")
 def back_solved(back_spec):
-    return (back_spec, *full_solve(back_spec))
+    return (back_spec, *solve(back_spec))

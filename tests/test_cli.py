@@ -20,6 +20,7 @@ BACK = str(MODELS_DIR / "back.json")
 UNCONTROLLABLE = str(MODELS_DIR / "uncontrollable.json")
 EXPLOSIVE = str(MODELS_DIR / "explosive_forcing.json")
 BAD_SCHEMA = str(MODELS_DIR / "bad_schema.json")
+SINGULAR_FORWARD = str(MODELS_DIR / "singular_forward.json")
 
 
 def run(capsys, *argv):
@@ -89,6 +90,16 @@ class TestExitStatuses:
         assert code == 2
         assert "[riccati]" in err
         assert "closed loop not stabilizing" in err
+
+    @pytest.mark.parametrize("command", ["solve", "simulate", "irf", "var", "oracle-compare"])
+    def test_singular_forward_block_fails_at_anchor(self, capsys, command):
+        # Q_yy = 0 gives P_y = 0: both gates pass, and P_y[x,x] cannot pin x0
+        code, out, err = run(capsys, command, "--model", SINGULAR_FORWARD)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error [anchor]: forward block of Riccati solution singular: singular"
+            " matrix: reciprocal condition 0.000e+00 (threshold 1e-13)"
+        ]
 
     def test_invalid_model_stops_at_validate_stage(self, capsys, tmp_path):
         doc = json.loads((MODELS_DIR / "golden.json").read_text())
@@ -451,9 +462,12 @@ class TestVarCommand:
         doc["labels"]["z"] = ["z1", "z2"]
         path = tmp_path / "two_shocks.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "var", "--model", str(path))
-        assert code == 1
-        assert "F_z not square" in err
+        code, out, err = run(capsys, "var", "--model", str(path))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error [var-basis]: F_z not square, VAR representation undefined"
+            " (n_u = 1, n_z = 2)"
+        ]
 
 
 class TestOracleCompareCommand:

@@ -12,6 +12,7 @@ from auglqr import (
     build_closed_loop,
     irf,
     simulate_path,
+    solve,
     solve_riccati,
 )
 from auglqr.cli import main
@@ -24,7 +25,6 @@ from _support import (
     GOLDEN_LOSS,
     GOLDEN_TCL_YZ,
     GOLDEN_X0,
-    full_solve,
     random_stabilizable_model,
     reference_path,
     save_model,
@@ -87,7 +87,7 @@ class TestBuildClosedLoop:
 
     def test_no_forcing_block(self):
         spec = scalar_spec(beta=0.99, a=0.5)
-        reg, aug, anchored, system = full_solve(spec)
+        reg, aug, anchored, system = solve(spec)
         assert system.T_cl.shape == (1, 1)
         assert system.T_cl[0, 0] == pytest.approx(
             spec.A_yy[0, 0] + spec.B_y[0, 0] * reg.F_y[0, 0]
@@ -96,7 +96,7 @@ class TestBuildClosedLoop:
 
     def test_zero_transition_keeps_zero_feedback(self):
         spec = scalar_spec(beta=0.95, a=0.0, a_yz=1.0, a_zz=0.5)
-        reg, aug, anchored, system = full_solve(spec)
+        reg, aug, anchored, system = solve(spec)
         assert np.array_equal(reg.F_y, [[0.0]])
         assert system.T_cl[0, 0] == 0.0
 
@@ -158,7 +158,7 @@ class TestBuildClosedLoop:
 class TestSimulatePath:
     def test_zero_initial_state_stays_zero(self):
         spec = scalar_spec(beta=0.99, a=0.8, a_yz=1.0, a_zz=0.5, z0=0.0)
-        reg, aug, anchored, system = full_solve(spec)
+        reg, aug, anchored, system = solve(spec)
         traj = simulate_path(system, spec, reg, aug, 50)
         assert np.array_equal(traj.y, np.zeros((50, 1)))
         assert np.array_equal(traj.u, np.zeros((50, 1)))
@@ -195,7 +195,7 @@ class TestSimulatePath:
     def test_superposition_of_shocks(self):
         rng = np.random.default_rng(59)
         spec = random_stabilizable_model(rng, 1, 1, 2, 2, 0.97)
-        reg, aug, anchored, system = full_solve(spec)
+        reg, aug, anchored, system = solve(spec)
         zero_start = replace(system, state0=np.zeros_like(system.state0))
         s1 = rng.normal(size=(40, 2))
         s2 = rng.normal(size=(40, 2))
@@ -235,7 +235,7 @@ class TestSimulatePath:
 
     def test_overflow_raises_divergence(self):
         spec = scalar_spec(beta=1.0, a=0.5)
-        reg, aug, anchored, _ = full_solve(spec)
+        reg, aug, anchored, _ = solve(spec)
         runaway = ClosedLoopSystem(
             T_cl=np.array([[1e200]]),
             impulse_loading=np.zeros((1, 0)),
@@ -247,7 +247,7 @@ class TestSimulatePath:
     def test_overflow_reports_first_bad_period(self):
         # 1, 1e100, 1e200, 1e300 are finite; 1e400 overflows at t = 4
         spec = scalar_spec(beta=1.0, a=0.5)
-        reg, aug, anchored, _ = full_solve(spec)
+        reg, aug, anchored, _ = solve(spec)
         runaway = ClosedLoopSystem(
             T_cl=np.array([[1e100]]),
             impulse_loading=np.zeros((1, 0)),
@@ -269,8 +269,39 @@ def loop_state_path(transition, start, horizon, drive=None):
     return states
 
 
+def dot_state_path(transition, start, horizon, drive=None):
+    """state_path's arithmetic with no stop: one np.dot into every row, then
+    np.add of its drive.
+
+    It is the sign reference: the loop's ``@`` sums from +0.0, so where
+    np.dot returns -0.0 (-0.5 times 5e-324) the loop has +0.0.
+    """
+    states = np.empty((horizon, len(start)))
+    states[0] = start
+    for t in range(1, horizon):
+        np.dot(transition, states[t - 1], out=states[t])
+        if drive is not None:
+            np.add(states[t], drive[t - 1], out=states[t])
+    return states
+
+
+def same_rows_as_loop(transition, start, horizon, drive=None):
+    """state_path's rows, after checking them against the loop's values (nan
+    where it has nan) and, bit for bit, against dot_state_path's: the sign
+    of every zero and the payload of every nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        old = loop_state_path(transition, start, horizon, drive)
+        bits = dot_state_path(transition, start, horizon, drive)
+        new = state_path(transition, start, horizon, drive)
+    assert np.array_equal(new, old, equal_nan=True)
+    assert np.array_equal(np.signbit(new), np.signbit(bits))
+    assert new.tobytes() == bits.tobytes()
+    return new
+
+
 class TestStatePathMatchesLoop:
-    """The in-place recurrence does the loop's arithmetic, so it is bit-identical."""
+    """The in-place recurrence does the loop's arithmetic: the same values,
+    and the same bits as the np.dot reference."""
 
     @pytest.mark.parametrize("driven", [False, True], ids=["free", "driven"])
     @pytest.mark.parametrize("horizon", [1, 2, 500])
@@ -281,14 +312,22 @@ class TestStatePathMatchesLoop:
         transition *= 0.97 / max(1e-12, np.max(np.abs(np.linalg.eigvals(transition))))
         start = rng.normal(size=n)
         drive = rng.normal(size=(horizon, n)) if driven else None
-        states = state_path(transition, start, horizon, drive)
+        states = same_rows_as_loop(transition, start, horizon, drive)
         assert states.shape == (horizon, n)
-        assert np.array_equal(states, loop_state_path(transition, start, horizon, drive))
+
+    def test_driven_zero_signs(self):
+        # (-0.5)^t reaches 0 at t = 1,075, then np.dot and a -0.0 drive
+        # alternate -0.0 and +0.0; the loop's @ sums from +0.0 and stays +0.0
+        horizon = 1_100
+        drive = np.full((horizon, 1), -0.0)
+        states = same_rows_as_loop(np.array([[-0.5]]), np.array([1.0]), horizon, drive)
+        assert not states[-2:].any()
+        assert np.signbit(states[-2, 0]) != np.signbit(states[-1, 0])
 
     @pytest.mark.parametrize("shocked", [False, True], ids=["deterministic", "shocks"])
     def test_overflow_at_the_loop_period(self, shocked):
         spec = scalar_spec(beta=0.95, a=0.5, a_yz=1.0, a_zz=0.5)
-        reg, aug, anchored, _ = full_solve(spec)
+        reg, aug, anchored, _ = solve(spec)
         runaway = ClosedLoopSystem(
             T_cl=np.array([[1e30, -3e29], [2e29, 7e29]]),
             impulse_loading=np.array([[0.0], [1.0]]),
@@ -297,11 +336,8 @@ class TestStatePathMatchesLoop:
         horizon = 40
         shocks = np.random.default_rng(3).normal(size=(horizon, 1)) if shocked else None
         drive = None if shocks is None else shocks @ runaway.impulse_loading.T
-        with np.errstate(over="ignore", invalid="ignore"):
-            old = loop_state_path(runaway.T_cl, runaway.state0, horizon, drive)
-            new = state_path(runaway.T_cl, runaway.state0, horizon, drive)
-        assert np.array_equal(new, old, equal_nan=True)
-        first = int(np.argmax(~np.isfinite(old).all(axis=1)))
+        states = same_rows_as_loop(runaway.T_cl, runaway.state0, horizon, drive)
+        first = int(np.argmax(~np.isfinite(states).all(axis=1)))
         assert 0 < first < horizon - 1
         with pytest.raises(DivergenceError, match=rf"overflowed at t = {first}$"):
             simulate_path(runaway, spec, reg, aug, horizon, shocks)
@@ -319,33 +355,6 @@ def dot_calls(monkeypatch):
 
     monkeypatch.setattr(np, "dot", counted)
     return calls
-
-
-def dot_state_path(transition, start, horizon):
-    """state_path's arithmetic with no stop: one np.dot into every row.
-
-    It is the sign reference: the loop's ``@`` sums from +0.0, so where
-    np.dot returns -0.0 (-0.5 times 5e-324) the loop has +0.0.
-    """
-    states = np.empty((horizon, len(start)))
-    states[0] = start
-    for t in range(1, horizon):
-        np.dot(transition, states[t - 1], out=states[t])
-    return states
-
-
-def same_rows_as_loop(transition, start, horizon):
-    """state_path's rows, after checking them against the loop's values (nan
-    where it has nan) and, bit for bit, against dot_state_path's: the sign
-    of every zero and the payload of every nan."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        old = loop_state_path(transition, start, horizon)
-        bits = dot_state_path(transition, start, horizon)
-        new = state_path(transition, start, horizon)
-    assert np.array_equal(new, old, equal_nan=True)
-    assert np.array_equal(np.signbit(new), np.signbit(bits))
-    assert new.tobytes() == bits.tobytes()
-    return new
 
 
 def first_repeat(states):
@@ -475,7 +484,7 @@ class TestBatchedPathMatchesLoop:
     def test_paths_and_loss(self, dims, horizon, shocked):
         rng = np.random.default_rng(sum(dims) * 1000 + horizon)
         spec = random_stabilizable_model(rng, *dims, 0.97)
-        reg, aug, anchored, system = full_solve(spec)
+        reg, aug, anchored, system = solve(spec)
         shocks = rng.normal(size=(horizon, spec.dims.n_z)) if shocked else None
         traj = simulate_path(system, spec, reg, aug, horizon, shocks)
         y, z, u, mu, loss = reference_path(system, spec, reg, aug, horizon, shocks)
@@ -521,7 +530,7 @@ class TestExactTail:
         dims = [(1, 1, 1, 1), (2, 1, 2, 1), (4, 2, 3, 2)][seed % 3]
         spec = random_stabilizable_model(rng, *dims, 0.97)
         spec = replace(spec, Q_yz=0.3 * rng.normal(size=spec.Q_yz.shape))
-        reg, aug, anchored, system = full_solve(spec)
+        reg, aug, anchored, system = solve(spec)
         q_bar = weighted_loss_matrix(spec, reg, aug)
         w_ref = scipy.linalg.solve_discrete_lyapunov(
             np.sqrt(spec.beta) * system.T_cl.T, q_bar
@@ -564,7 +573,7 @@ class TestExactTail:
     def test_random_shocks_tail_is_the_long_sum(self):
         rng = np.random.default_rng(71)
         spec = random_stabilizable_model(rng, 2, 1, 2, 1, 0.95)
-        reg, aug, anchored, system = full_solve(spec)
+        reg, aug, anchored, system = solve(spec)
         shocks = rng.normal(size=(7, 2))
         tail = simulate_path(system, spec, reg, aug, 7, shocks).truncation_bound
         assert tail == pytest.approx(long_sum_tail(system, spec, reg, aug, 7, shocks), rel=1e-11)
@@ -574,14 +583,14 @@ class TestExactTail:
         rng = np.random.default_rng(400 + seed)
         spec = random_stabilizable_model(rng, 2, 1, 2, 2, 0.96)
         spec = replace(spec, Q_yz=np.zeros_like(spec.Q_yz))
-        reg, aug, anchored, system = full_solve(spec)
+        reg, aug, anchored, system = solve(spec)
         shocks = rng.normal(size=(2, 2)) if seed % 2 else None
         assert simulate_path(system, spec, reg, aug, 2, shocks).truncation_bound >= 0.0
 
     def test_cross_weight_can_make_it_negative(self):
         # Q = [[1, -1], [-1, 0]] is indefinite: the loss still to come is negative
         spec = scalar_spec(beta=0.95, a=0.5, a_yz=1.0, a_zz=0.9, q_yz=-1.0, forward=False)
-        reg, aug, anchored, system = full_solve(spec)
+        reg, aug, anchored, system = solve(spec)
         tail = simulate_path(system, spec, reg, aug, 1).truncation_bound
         assert tail < -1.0
         assert tail == pytest.approx(long_sum_tail(system, spec, reg, aug, 1), rel=1e-12)
@@ -600,13 +609,13 @@ class TestImpulseResponse:
         rng = np.random.default_rng(61)
         spec = random_stabilizable_model(rng, 0, 1, 2, 1, 0.98)
         spec = replace(spec, A_zz=np.diag([0.5, 0.3]))
-        reg, aug, anchored, system = full_solve(spec)
+        reg, aug, anchored, system = solve(spec)
         traj = irf(system, spec, reg, aug, 20, 0)
         assert np.array_equal(traj.z[:, 1], np.zeros(20))
 
     def test_zero_coupling_means_zero_response(self):
         spec = scalar_spec(beta=0.96, a=0.6, a_yz=0.0, a_zz=0.5, q_yz=0.0)
-        reg, aug, anchored, system = full_solve(spec)
+        reg, aug, anchored, system = solve(spec)
         traj = irf(system, spec, reg, aug, 20, 0)
         assert np.array_equal(traj.y, np.zeros((20, 1)))
         assert np.array_equal(traj.u, np.zeros((20, 1)))

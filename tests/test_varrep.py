@@ -7,6 +7,7 @@ from auglqr import (
     DimensionError,
     SingularMatrixError,
     simulate_path,
+    solve,
     to_var,
     var_simulate_check,
 )
@@ -16,7 +17,6 @@ from _support import (
     GOLDEN_F_Y,
     GOLDEN_F_Z,
     assert_spectra_match,
-    full_solve,
     random_stabilizable_model,
     scalar_spec,
 )
@@ -39,14 +39,14 @@ class TestToVar:
     def test_rectangular_f_z_rejected(self):
         rng = np.random.default_rng(67)
         spec = random_stabilizable_model(rng, 0, 1, 2, 1, 0.98)
-        reg, aug, anchored, system = full_solve(spec)
+        reg, aug, anchored, system = solve(spec)
         with pytest.raises(DimensionError, match="F_z not square"):
             to_var(spec, reg, aug, system)
 
     def test_singular_f_z_rejected(self):
         # zero coupling forces F_z = 0, which cannot be inverted
         spec = scalar_spec(beta=0.95, a=0.5, a_yz=0.0, a_zz=0.5, q_yz=0.0)
-        reg, aug, anchored, system = full_solve(spec)
+        reg, aug, anchored, system = solve(spec)
         with pytest.raises(SingularMatrixError, match="ill-conditioned"):
             to_var(spec, reg, aug, system)
 
@@ -54,7 +54,7 @@ class TestToVar:
         # A_yy = 0 gives F_y = 0; the change of basis then block-decouples:
         # u_{t+1} = F_z A_zz F_z^{-1} u_t
         spec = scalar_spec(beta=0.98, a=0.0, a_yz=1.0, a_zz=0.5)
-        reg, aug, anchored, system = full_solve(spec)
+        reg, aug, anchored, system = solve(spec)
         rep = to_var(spec, reg, aug, system)
         f_z = aug.F_z[0, 0]
         assert rep.T_var[1, 0] == pytest.approx(0.0, abs=1e-12)
@@ -82,14 +82,14 @@ class TestVarSimulateCheck:
 
     def test_zero_state_no_shocks_exact(self):
         spec = scalar_spec(beta=0.97, a=0.6, a_yz=1.0, a_zz=0.5, z0=0.0)
-        reg, aug, anchored, system = full_solve(spec)
+        reg, aug, anchored, system = solve(spec)
         rep = to_var(spec, reg, aug, system)
         assert var_simulate_check(rep, system, spec, reg, aug, 20) == 0.0
 
     def test_random_model_with_shocks(self):
         rng = np.random.default_rng(71)
         spec = random_stabilizable_model(rng, 1, 1, 2, 2, 0.97)
-        reg, aug, anchored, system = full_solve(spec)
+        reg, aug, anchored, system = solve(spec)
         rep = to_var(spec, reg, aug, system)
         shocks = rng.normal(size=(100, 2))
         assert var_simulate_check(rep, system, spec, reg, aug, 100, shocks) <= 1e-7
@@ -97,7 +97,7 @@ class TestVarSimulateCheck:
     def test_wrong_representation_detected(self):
         rng = np.random.default_rng(71)
         spec = random_stabilizable_model(rng, 1, 1, 2, 2, 0.97)
-        reg, aug, anchored, system = full_solve(spec)
+        reg, aug, anchored, system = solve(spec)
         rep = to_var(spec, reg, aug, system)
         shocks = rng.normal(size=(100, 2))
         bent = replace(rep, T_var=rep.T_var + 1e-3)
