@@ -15,8 +15,6 @@ pseudo-inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernel
@@ -26,7 +24,6 @@ from .model import ModelSpec
 from .regulator import RegulatorSolution
 
 
-@dataclass(frozen=True, eq=False)
 class AnchoredState(kernel.Frozen):
     """Optimal date-0 values: x0, the stacked y0 = (k0, x0), and mu0."""
 

@@ -17,8 +17,6 @@ lie inside 1/sqrt(b), and ``iterations`` counts its doubling steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernel
@@ -26,7 +24,6 @@ from .model import ModelSpec
 from .regulator import RegulatorSolution, gain
 
 
-@dataclass(frozen=True, eq=False)
 class AugmentedSolution(kernel.Frozen):
     """Cross value matrix P_z and feedforward gain F_z; ``residual`` is the
     Stein residual ||P_z - Q_yz - b Abar' (P_y A_yz + P_z A_zz)||_inf."""

@@ -13,7 +13,6 @@ unbounded); the first may be overridden downstream by a --force flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from . import kernel
 from .model import ModelSpec
 
 
-@dataclass(frozen=True, eq=False)
 class CheckReport(kernel.Frozen):
     controllable: bool
     controllability_rank: int

@@ -10,7 +10,6 @@ the base of every container the pipeline passes from stage to stage.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
@@ -56,30 +55,30 @@ def _one_norm(m: np.ndarray) -> float:
     return float(_max(_add(np.abs(m), axis=0)))
 
 
-@dataclass(frozen=True, eq=False)
 class Frozen:
-    """Base of the pipeline's containers: a frozen dataclass, equal only to
-    itself, whose construction makes every array it holds read-only.
+    """Base of the pipeline's containers: subclassing it declares a frozen
+    dataclass, equal only to itself, whose construction makes every array it
+    holds read-only.
 
-    That covers each ndarray field, each ndarray in a tuple field, and every
-    array those are views of, so no view taken later can write either.
-    Subclasses are declared ``@dataclass(frozen=True, eq=False)``; one that
-    prepares its fields in ``__post_init__`` calls this one last.
+    That covers each ndarray field and every array it is a view of, so no
+    view taken later can write either; no field holds a tuple of arrays.
+    A subclass is not decorated itself; one that prepares its fields in
+    ``__post_init__`` calls this one last.
     """
 
+    #: the subclass's field names, recorded once when it is declared
+    _frozen_fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        dataclass(frozen=True, eq=False)(cls)
+        cls._frozen_fields = tuple(field.name for field in fields(cls))
+
     def __post_init__(self):
-        for name in _field_names(type(self)):
-            value = getattr(self, name)
-            for arr in value if isinstance(value, tuple) else (value,):
-                while isinstance(arr, np.ndarray):
-                    arr.flags.writeable = False
-                    arr = arr.base
-
-
-@functools.cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    """A dataclass's field names, looked up once per class."""
-    return tuple(field.name for field in fields(cls))
+        for name in self._frozen_fields:
+            arr = getattr(self, name)
+            while isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+                arr = arr.base
 
 
 def eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -188,14 +187,17 @@ def stein(
     From X_0 = C, X_{k+1} = X_k + M_k X_k N_k with M_0 = sqrt(b) M, N_0 =
     sqrt(b) N, M_{k+1} = M_k^2 and N_{k+1} = N_k^2 sums 2^k terms of sum_j
     M_0^j C N_0^j, which converges when b rho(M) rho(N) < 1.  Returns (X,
-    steps, ||X - (C + b (M X N))||_inf); the residual must stay within
-    STEIN_RTOL (||C||_inf + ||X||_inf), since a product of eigenvalues of
-    sqrt(b) M and sqrt(b) N on the unit circle can stall X at a wrong value.
+    steps, ||X - (C + M_0 X N_0)||_inf): taken through the scaled factors, as
+    the doubling is, the residual of a huge M and a tiny b does not overflow.
+    It must stay within STEIN_RTOL (||C||_inf + ||X||_inf), since a product
+    of eigenvalues of M_0 and N_0 on the unit circle can stall X at a wrong
+    value.
     """
     root = math.sqrt(beta)
-    x, steps, scale = converge(_smith(c, root * m, root * n), "Stein")
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge M can overflow M X
-        residual = inf_norm(x - (c + beta * (m @ x @ n)))
+    m_s, n_s = root * m, root * n
+    x, steps, scale = converge(_smith(c, m_s, n_s), "Stein")
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge M_0 can overflow M_0 X
+        residual = inf_norm(x - (c + m_s @ x @ n_s))
     if not residual <= STEIN_RTOL * (inf_norm(c) + scale):
         raise DivergenceError(
             f"Stein iteration stopped at a wrong solution after {steps} iterations"

@@ -78,7 +78,6 @@ def _expected_shapes(dims: Dims) -> dict[str, tuple[int, int]]:
     }
 
 
-@dataclass(frozen=True, eq=False)
 class ModelSpec(kernel.Frozen):
     """A full problem instance, equal to any instance with the same values.
 

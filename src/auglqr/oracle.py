@@ -7,12 +7,11 @@ the linear-algebra kernel is shared with the solver modules, so agreement
 between the two routes is evidence rather than tautology.
 
 This module favors transparency over speed; it exists to generate ground
-truth for small models.
+truth for small models.  The value matrices of every period come back as
+two arrays indexed by period, filled in place from the terminal one back.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +19,16 @@ from . import kernel
 from .model import ModelSpec, symmetrize
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteHorizonSolution(kernel.Frozen):
-    """Value-matrix sequences P(t), t = 0..horizon, and the date-0 gains."""
+    """Value matrices P(t), t = 0..horizon, and the date-0 gains.
+
+    ``P_y_seq[t]`` and ``P_z_seq[t]`` are P_y(t) and P_z(t): arrays of shape
+    (horizon + 1, n_y, n_y) and (horizon + 1, n_y, n_z).
+    """
 
     horizon: int
-    P_y_seq: tuple[np.ndarray, ...]
-    P_z_seq: tuple[np.ndarray, ...]
+    P_y_seq: np.ndarray
+    P_z_seq: np.ndarray
     F_y_T: np.ndarray
     F_z_T: np.ndarray
 
@@ -53,10 +55,10 @@ def backward_induction(spec: ModelSpec, horizon: int) -> FiniteHorizonSolution:
     r = symmetrize(spec.R)
     q_yz = spec.Q_yz
 
-    p_y_seq: list = [None] * (horizon + 1)
-    p_z_seq: list = [None] * (horizon + 1)
-    p_y_seq[horizon] = q.copy()
-    p_z_seq[horizon] = q_yz.copy()
+    p_y_seq = np.empty((horizon + 1, dims.n_y, dims.n_y))
+    p_z_seq = np.empty((horizon + 1, dims.n_y, dims.n_z))
+    p_y_seq[horizon] = q
+    p_z_seq[horizon] = q_yz
 
     f_y = np.zeros((dims.n_u, dims.n_y))
     f_z = np.zeros((dims.n_u, dims.n_z))
@@ -77,13 +79,7 @@ def backward_induction(spec: ModelSpec, horizon: int) -> FiniteHorizonSolution:
                 + beta * (abar.T @ p_next @ a_yz)
                 + beta * (abar.T @ p_z_seq[t + 1] @ a_zz)
             )
-        else:
-            p_z_seq[t] = np.zeros((dims.n_y, 0))
 
     return FiniteHorizonSolution(
-        horizon=horizon,
-        P_y_seq=tuple(p_y_seq),
-        P_z_seq=tuple(p_z_seq),
-        F_y_T=f_y,
-        F_z_T=f_z,
+        horizon=horizon, P_y_seq=p_y_seq, P_z_seq=p_z_seq, F_y_T=f_y, F_z_T=f_z
     )

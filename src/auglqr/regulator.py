@@ -26,7 +26,6 @@ so P_y and F_y are bit-identical across initial conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +37,10 @@ from .model import ModelSpec, symmetrize
 STABILITY_MARGIN = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
 class RegulatorSolution(kernel.Frozen):
     """Riccati fixed point P_y (symmetric PSD) and feedback gain F_y; the
-    ``residual`` is ||riccati_rhs(P_y) - P_y||_inf.
+    ``residual`` is ||T(P_y) - P_y||_inf, T(P) the right-hand side of the
+    Riccati equation in the module docstring.
 
     ``radius_cl`` is the checked spectral radius of the closed loop ``A_cl`` =
     A_yy + B_y F_y; a reader reuses it only while its loop equals ``A_cl``.
@@ -60,20 +59,6 @@ def gain(spec: ModelSpec, p_y: np.ndarray, w: np.ndarray) -> np.ndarray:
     the feedforward gain for w = b B' (P_y A_yz + P_z A_zz)."""
     b = spec.B_y
     return -kernel.solve_linear(symmetrize(spec.R + spec.beta * (b.T @ p_y @ b)), w)
-
-
-def riccati_rhs(P: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    """One application of the Riccati map at P; output exactly symmetric."""
-    w = spec.beta * (spec.B_y.T @ P @ spec.A_yy)  # b B' P A
-    return _riccati_map(spec, P, w, gain(spec, P, w))
-
-
-def _riccati_map(
-    spec: ModelSpec, P: np.ndarray, w: np.ndarray, f: np.ndarray
-) -> np.ndarray:
-    """The Riccati map at P, given w = b B' P A and its gain f = gain(spec, P, w)."""
-    a = spec.A_yy
-    return symmetrize(symmetrize(spec.Q_yy) + spec.beta * (a.T @ P @ a) + w.T @ f)
 
 
 def solve_riccati(spec: ModelSpec, tol: float = kernel.DEFAULT_TOL) -> RegulatorSolution:
@@ -97,9 +82,10 @@ def solve_riccati(spec: ModelSpec, tol: float = kernel.DEFAULT_TOL) -> Regulator
             f"Riccati solution lost positive semidefiniteness"
             f" after {iteration} iterations"
         )
-    w = spec.beta * (spec.B_y.T @ h_k @ spec.A_yy)
+    a = spec.A_yy
+    w = spec.beta * (spec.B_y.T @ h_k @ a)  # b B' P A
     f = gain(spec, h_k, w)
-    a_cl = spec.A_yy + spec.B_y @ f
+    a_cl = a + spec.B_y @ f
     radius = kernel.spectral_radius(a_cl)
     limit = 1.0 / root - STABILITY_MARGIN
     if radius >= limit:
@@ -107,7 +93,9 @@ def solve_riccati(spec: ModelSpec, tol: float = kernel.DEFAULT_TOL) -> Regulator
             f"closed loop not stabilizing: spectral radius {radius:.12g}"
             f" >= {limit:.12g}"
         )
-    residual = kernel.inf_norm(_riccati_map(spec, h_k, w, f) - h_k)
+    # the Riccati map at H_k, reusing its gain solve
+    t_h = symmetrize(symmetrize(spec.Q_yy) + spec.beta * (a.T @ h_k @ a) + w.T @ f)
+    residual = kernel.inf_norm(t_h - h_k)
     return RegulatorSolution(
         P_y=h_k,
         F_y=f,

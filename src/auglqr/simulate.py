@@ -24,7 +24,7 @@ responses are exact without drawing any randomness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,14 +36,12 @@ from .model import ModelSpec
 from .regulator import RegulatorSolution
 
 
-@dataclass(frozen=True, eq=False)
 class ClosedLoopSystem(kernel.Frozen):
     T_cl: np.ndarray
     impulse_loading: np.ndarray
     state0: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
 class Trajectory(kernel.Frozen):
     """Time-indexed paths for t = 0..horizon-1 plus the truncated loss.
 
@@ -179,7 +177,9 @@ def simulate_path(
     q_bar = weights + gains.T @ spec.R @ gains
     root = math.sqrt(spec.beta)
     discounted = states * (root ** np.arange(horizon))[:, None]
-    loss = 0.5 * float(np.vdot(discounted @ q_bar, discounted))
+    # a ufunc reduction, not np.vdot: BLAS threads a long dot product, which
+    # stalls on a busy host and makes the sum's bits depend on the thread count
+    loss = 0.5 * float((discounted @ q_bar * discounted).sum())
 
     # the tail: the noiseless continuation from d_H, valued by W = Qbar + b T' W T
     d_end = root * (sys.T_cl @ discounted[-1])

@@ -17,8 +17,6 @@ number must exceed ``kernel.RCOND_MIN``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernel
@@ -29,7 +27,6 @@ from .regulator import RegulatorSolution
 from .simulate import ClosedLoopSystem, simulate_path, state_path
 
 
-@dataclass(frozen=True, eq=False)
 class VarRepresentation(kernel.Frozen):
     """Autoregressive form of the closed loop in the observable basis (y, u)."""
 

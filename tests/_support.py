@@ -16,7 +16,8 @@ from auglqr import (
     load_model,
     run_checks,
 )
-from auglqr.model import _MATRIX_FIELDS, _VECTOR_FIELDS
+from auglqr.model import _MATRIX_FIELDS, _VECTOR_FIELDS, symmetrize
+from auglqr.regulator import gain
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -67,6 +68,18 @@ def save_model(spec: ModelSpec) -> str:
     if spec.labels is not None:
         doc["labels"] = spec.labels
     return json.dumps(doc, indent=2) + "\n"
+
+
+def riccati_rhs(P: np.ndarray, spec: ModelSpec) -> np.ndarray:
+    """One application of the Riccati map at P; output exactly symmetric.
+
+    Written in the order ``solve_riccati`` evaluates its residual, so that
+    residual equals ||riccati_rhs(P_y) - P_y||_inf bit for bit.
+    """
+    a = spec.A_yy
+    w = spec.beta * (spec.B_y.T @ P @ a)  # b B' P A
+    f = gain(spec, P, w)
+    return symmetrize(symmetrize(spec.Q_yy) + spec.beta * (a.T @ P @ a) + w.T @ f)
 
 
 def scalar_riccati_root(beta: float, a: float, b: float, q: float, r: float) -> float:

@@ -22,7 +22,6 @@ from auglqr import (
 )
 from auglqr.cli import main
 from auglqr.kernel import inf_norm, spectral_radius
-from auglqr.regulator import riccati_rhs
 
 from _support import (
     GOLDEN_F_Y,
@@ -32,6 +31,7 @@ from _support import (
     dense_stein_solution,
     grid_search_x0,
     load_fixture,
+    riccati_rhs,
 )
 
 

@@ -1,7 +1,7 @@
 import importlib
 import pkgutil
 import warnings
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -157,23 +157,20 @@ def with_radius(rng, size, radius):
 
 def loop_sylvester(spec, reg):
     """The Smith doubling solve_sylvester ran inline before kernel.stein:
-    (P_z, iterations, residual), residual summed in its original order."""
+    (P_z, iterations, residual), the residual taken through the scaled
+    factors sqrt(b) Abar' and sqrt(b) A_zz the doubling starts from."""
     abar = spec.A_yy + spec.B_y @ reg.F_y
     root = np.sqrt(spec.beta)
-    p_z = spec.Q_yz + spec.beta * (abar.T @ reg.P_y @ spec.A_yz)
-    m_k, n_k = root * abar.T, root * spec.A_zz
+    c = spec.Q_yz + spec.beta * (abar.T @ reg.P_y @ spec.A_yz)
+    m_s, n_s = root * abar.T, root * spec.A_zz
+    p_z, m_k, n_k = c, m_s, n_s
     for iteration in range(1, kernel.MAX_ITER + 1):
         step = m_k @ p_z @ n_k
         p_z = p_z + step
         if kernel.inf_norm(step) <= kernel.DEFAULT_TOL * (1.0 + kernel.inf_norm(p_z)):
             break
         m_k, n_k = m_k @ m_k, n_k @ n_k
-    target = (
-        spec.Q_yz
-        + spec.beta * (abar.T @ reg.P_y @ spec.A_yz)
-        + spec.beta * (abar.T @ p_z @ spec.A_zz)
-    )
-    return p_z, iteration, kernel.inf_norm(p_z - target)
+    return p_z, iteration, kernel.inf_norm(p_z - (c + m_s @ p_z @ n_s))
 
 
 def iterates(x, steps, drawn=None):
@@ -253,7 +250,17 @@ class TestStein:
         m, n = with_radius(rng, 4, 0.95), with_radius(rng, 3, 0.9)
         c = rng.normal(size=(4, 3))
         x, _, residual = kernel.stein(m, n, c, 0.97)
-        assert residual == kernel.inf_norm(x - (c + 0.97 * (m @ x @ n)))
+        root = np.sqrt(0.97)
+        assert residual == kernel.inf_norm(x - (c + (root * m) @ x @ (root * n)))
+
+    def test_residual_of_a_huge_m_and_a_tiny_beta_is_finite(self):
+        # b M X N = 1e-100 * 1e300 * 1e9 * 1e-260 = 1e-51, but M X alone is
+        # 1e309: the residual must be formed from sqrt(b) M and sqrt(b) N
+        m = np.array([[0.0, 1e300], [0.0, 0.0]])
+        c = np.array([[0.0], [1e9]])
+        x, _, residual = kernel.stein(m, np.array([[1e-260]]), c, 1e-100)
+        assert x[:, 0].tolist() == pytest.approx([1e-51, 1e9], rel=1e-12)
+        assert residual == 0.0
 
     @pytest.mark.parametrize(
         "m, n, beta, message",
@@ -320,20 +327,29 @@ class TestStein:
 
 
 class TestFrozen:
-    def test_construction_freezes_fields_tuples_and_bases(self):
-        @dataclass(frozen=True, eq=False)
+    def test_construction_freezes_fields_and_bases(self):
         class Box(kernel.Frozen):
             view: np.ndarray
-            seq: tuple
+            loose: np.ndarray
             note: str
 
         base = np.zeros((3, 2))
         loose = np.ones(2)
-        box = Box(view=base[:, 0], seq=(loose, 1.0), note="x")
+        box = Box(view=base[:, 0], loose=loose, note="x")
+        assert is_dataclass(box) and [f.name for f in fields(box)] == ["view", "loose", "note"]
         assert not box.view.flags.writeable
         assert not base.flags.writeable
         assert not loose.flags.writeable
-        assert box != Box(view=box.view, seq=box.seq, note="x")  # identity equality
+        assert box != Box(view=box.view, loose=loose, note="x")  # identity equality
+        with pytest.raises(FrozenInstanceError):
+            box.note = "y"
+
+    def test_a_subclass_is_not_declared_twice(self):
+        with pytest.raises(TypeError, match="Cannot overwrite attribute __setattr__"):
+
+            @dataclass(frozen=True, eq=False)
+            class Box(kernel.Frozen):
+                note: str
 
     def test_every_array_container_uses_the_rule(self):
         modules = [

@@ -15,6 +15,8 @@ from _support import GOLDEN_F_Y, GOLDEN_X0, grid_search_x0, scalar_spec
 
 def test_terminal_conditions(back_spec):
     sol = backward_induction(back_spec, 3)
+    n_y, n_z = back_spec.dims.n_y, back_spec.dims.n_z
+    assert (sol.P_y_seq.shape, sol.P_z_seq.shape) == ((4, n_y, n_y), (4, n_y, n_z))
     assert np.array_equal(sol.P_y_seq[3], symmetrize(back_spec.Q_yy))
     assert np.array_equal(sol.P_z_seq[3], back_spec.Q_yz)
 
@@ -23,6 +25,7 @@ def test_single_step_zero_transition():
     spec = scalar_spec(beta=0.9, a=0.0, q=2.0)
     sol = backward_induction(spec, 1)
     assert np.array_equal(sol.P_y_seq[0], [[2.0]])
+    assert sol.P_z_seq.shape == (2, 1, 0)  # no forcing: an empty P_z in every period
     assert np.array_equal(sol.F_y_T, [[0.0]])
 
 

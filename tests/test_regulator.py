@@ -22,7 +22,6 @@ from auglqr import (
 )
 from auglqr.kernel import MAX_ITER, inf_norm, spectral_radius
 from auglqr.model import symmetrize
-from auglqr.regulator import riccati_rhs
 
 from _support import (
     BACK_F_Y,
@@ -33,6 +32,7 @@ from _support import (
     load_fixture,
     overflowing_doubling_model,
     random_stabilizable_model,
+    riccati_rhs,
     scalar_riccati_root,
     scalar_spec,
     single_input_model,
@@ -328,11 +328,10 @@ class TestSolveRiccati:
         }
         for name, container in containers.items():
             for field in fields(container):
-                value = getattr(container, field.name)
-                for arr in value if isinstance(value, (list, tuple)) else (value,):
-                    if not isinstance(arr, np.ndarray):
-                        continue
-                    # the array and every array it is a view of
-                    while isinstance(arr, np.ndarray):
-                        assert not arr.flags.writeable, f"{name}.{field.name}"
-                        arr = arr.base
+                arr = getattr(container, field.name)
+                # no field holds arrays inside a tuple, where freezing would not reach
+                assert not isinstance(arr, (list, tuple)), f"{name}.{field.name}"
+                # the array and every array it is a view of
+                while isinstance(arr, np.ndarray):
+                    assert not arr.flags.writeable, f"{name}.{field.name}"
+                    arr = arr.base

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import auglqr
 from auglqr import (
     ClosedLoopSystem,
     DivergenceError,
@@ -255,6 +260,38 @@ class TestSimulatePath:
         )
         with pytest.raises(DivergenceError, match=r"overflowed at t = 4$"):
             simulate_path(runaway, spec, reg, aug, 10)
+
+
+HARD2_LOSS_SCRIPT = """
+from auglqr import simulate_path, solve
+from _support import HARD_CASES, scalar_spec
+a, b, q, beta = HARD_CASES["hard2"]
+spec = scalar_spec(beta=beta, a=a, b=b, q=q, a_yz=1.0, a_zz=0.5)
+reg, aug, _, system = solve(spec)
+print(simulate_path(system, spec, reg, aug, 10_000).loss.hex())
+"""
+
+
+def test_loss_bits_do_not_depend_on_blas_threads():
+    # OpenBLAS threads a dot product above 10,000 elements: a loss summed by
+    # BLAS took its last bit from the thread count (hard2, horizon 10,000)
+    paths = [Path(auglqr.__file__).resolve().parent.parent, Path(__file__).resolve().parent]
+    losses = set()
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join(map(str, paths)),
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", HARD2_LOSS_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        losses.add(result.stdout.strip())
+    assert len(losses) == 1, losses
 
 
 def loop_state_path(transition, start, horizon, drive=None):

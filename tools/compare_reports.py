@@ -16,7 +16,9 @@ under each tree's ``src/``, the two trees in parallel processes:
 
 It prints every argv whose exit status, stdout or stderr differs between
 the trees and exits 1 if there is one, 0 if there is none, and 2 if REV
-cannot be archived or a run fails.
+cannot be archived or a run fails.  The first 20 argvs whose stdout differs
+are run again under both trees with their whole stdout kept, and the first
+stdout line that differs is printed for each.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -37,6 +40,8 @@ COMMANDS = ("validate", "check", "solve", "simulate", "irf", "var", "oracle-comp
 PATH_COMMANDS = (("simulate",), ("simulate", "--noise-seed", "0"), ("irf",))
 HORIZONS = (1, 500, 10_000, 1_076, 1_077, 1_078, 3_333, 3_334, 3_335)
 FORMATS = ("json", "csv")
+#: argvs with a differing stdout that are run again to show the first differing line
+SHOWN = 20
 
 
 def gather_models(root: Path, out: Path) -> list[Path]:
@@ -69,10 +74,11 @@ def argv_matrix(models: list[Path]) -> list[list[str]]:
     return matrix
 
 
-def run_matrix(src: str, matrix_file: str, out_file: str) -> None:
+def run_matrix(src: str, matrix_file: str, out_file: str, digest: bool) -> None:
     """Run every argv of ``matrix_file`` through ``cli.main`` from ``src``.
 
-    Writes one [exit status, stdout sha256, stderr] entry per argv.
+    Writes one [exit status, stdout, stderr] entry per argv, the stdout as
+    its sha256 when ``digest`` is set.
     """
     from auglqr import cli
 
@@ -83,18 +89,41 @@ def run_matrix(src: str, matrix_file: str, out_file: str) -> None:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
-        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-        results.append([code, digest, err.getvalue()])
+        stdout = out.getvalue()
+        if digest:
+            stdout = hashlib.sha256(stdout.encode()).hexdigest()
+        results.append([code, stdout, err.getvalue()])
     Path(out_file).write_text(json.dumps(results), encoding="utf-8")
 
 
-def start_run(src: Path, matrix_file: Path, out_file: Path) -> subprocess.Popen:
+def start_run(src: Path, matrix_file: Path, out_file: Path, digest: bool) -> subprocess.Popen:
     code = (
         f"import sys; sys.path[:0] = [{str(src)!r}, {str(Path(__file__).parent)!r}]; "
         f"import compare_reports; "
-        f"compare_reports.run_matrix({str(src)!r}, {str(matrix_file)!r}, {str(out_file)!r})"
+        f"compare_reports.run_matrix({str(src)!r}, {str(matrix_file)!r}, {str(out_file)!r},"
+        f" {digest!r})"
     )
     return subprocess.Popen([sys.executable, "-c", code], cwd=src.parent)
+
+
+def run_trees(trees: dict[str, Path], matrix: list, work: Path, digest: bool) -> list | None:
+    """Each tree's results for ``matrix``, the trees in parallel; None if a run fails."""
+    tag = "digest" if digest else "stdout"
+    matrix_file = work / f"{tag}-matrix.json"
+    matrix_file.write_text(json.dumps(matrix), encoding="utf-8")
+    runs = {name: start_run(src, matrix_file, work / f"{tag}-{name}.json", digest)
+            for name, src in trees.items()}
+    if any([run.wait() != 0 for run in runs.values()]):  # wait for both
+        return None
+    return [json.loads((work / f"{tag}-{name}.json").read_text(encoding="utf-8"))
+            for name in trees]
+
+
+def first_difference(old: str, new: str) -> tuple[int, str | None, str | None] | None:
+    """The first line number (from 1) at which two outputs differ, and its two
+    lines, None for a missing one; None when the outputs agree."""
+    pairs = itertools.zip_longest(old.splitlines(), new.splitlines())
+    return next(((number, a, b) for number, (a, b) in enumerate(pairs, 1) if a != b), None)
 
 
 def main(argv=None) -> int:
@@ -115,25 +144,30 @@ def main(argv=None) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(work / "base", filter="data")
         matrix = argv_matrix(gather_models(root, work / "models"))
-        matrix_file = work / "matrix.json"
-        matrix_file.write_text(json.dumps(matrix), encoding="utf-8")
         trees = {"base": work / "base" / "src", "head": root / "src"}
-        runs = {name: start_run(src, matrix_file, work / f"{name}.json")
-                for name, src in trees.items()}
-        if any([run.wait() != 0 for run in runs.values()]):  # wait for both
+        digests = run_trees(trees, matrix, work, digest=True)
+        if digests is None:
             print("a run failed", file=sys.stderr)
             return 2
-        base, head = (json.loads((work / f"{name}.json").read_text(encoding="utf-8"))
-                      for name in trees)
+        rerun = [argv for argv, old, new in zip(matrix, *digests) if old[1] != new[1]]
+        stdouts = run_trees(trees, rerun[:SHOWN], work, digest=False) if rerun else [[], []]
+        if stdouts is None:
+            print("a run failed", file=sys.stderr)
+            return 2
+    shown = {tuple(argv): first_difference(old[1], new[1])
+             for argv, old, new in zip(rerun, *stdouts)}
 
     differing = 0
-    for argv, old, new in zip(matrix, base, head):
+    for argv, old, new in zip(matrix, *digests):
         parts = [part for part, a, b in zip(("exit", "stdout", "stderr"), old, new) if a != b]
         if parts:
             differing += 1
             print(f"{' '.join(argv)}: {', '.join(parts)} differ")
             if "exit" in parts:
                 print(f"  exit {old[0]} -> {new[0]}")
+            if shown.get(tuple(argv)):
+                number, line_old, line_new = shown[tuple(argv)]
+                print(f"  stdout line {number}: {line_old!r} -> {line_new!r}")
             if "stderr" in parts:
                 print(f"  stderr {old[2]!r} -> {new[2]!r}")
     print(f"{differing} of {len(matrix)} argvs differ between {args.base} and the working tree")
