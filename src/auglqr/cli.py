@@ -370,10 +370,10 @@ def _dispatch(args, at) -> tuple[str, int]:
 
         body = {
             "horizon": args.horizon,
-            "max_dev_P_y": gap(reg.P_y, sol.P_y_seq[0]),
-            "max_dev_F_y": gap(reg.F_y, sol.F_y_T),
-            "max_dev_P_z": gap(aug.P_z, sol.P_z_seq[0]),
-            "max_dev_F_z": gap(aug.F_z, sol.F_z_T),
+            "max_dev_P_y": gap(reg.P_y, sol.P_y),
+            "max_dev_F_y": gap(reg.F_y, sol.F_y),
+            "max_dev_P_z": gap(aug.P_z, sol.P_z),
+            "max_dev_F_z": gap(aug.F_z, sol.F_z),
         }
         return _render_report(body, args.format), EXIT_OK
 

@@ -19,6 +19,7 @@ operation is a pure function, so instances are safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -258,20 +259,47 @@ def _require(mapping: dict, key: str, where: str = "document"):
     return mapping[key]
 
 
+class _LongInteger:
+    """Stands in for an integer literal past Python's int-conversion digit
+    limit.  No double holds one, so its field is refused like any integer
+    too large for a double."""
+
+    def __init__(self, token: str):
+        self.digits = len(token.lstrip("-"))
+
+    def __repr__(self):
+        return f"an integer of {self.digits} digits"
+
+
+def _parse_int(token: str):
+    try:
+        return int(token)
+    except ValueError:
+        return _LongInteger(token)
+
+
 def _as_number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ModelFormatError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            value = _LongInteger(str(value))
+    if isinstance(value, _LongInteger):
+        raise ModelFormatError(f"{name} must fit in a double, got {value!r}")
+    raise ModelFormatError(f"{name} must be a number, got {value!r}")
 
 
-def _as_numbers(values: list, name: str) -> list:
-    """Return the list unchanged when every item is an int or float (not a bool)."""
-    # one pass over the item types; only a failing list is walked item by item,
-    # so the error names the first offending entry
-    if not set(map(type, values)) <= {int, float}:
-        for value in values:
-            _as_number(value, name)
-    return values
+def _as_array(values: list, name: str) -> np.ndarray:
+    """The items as a float array.
+
+    One pass checks the item types; only a list that fails it or overflows
+    a double is converted item by item, so the error names the first item
+    that is not a number (a bool is not) or that no double holds.
+    """
+    if set(map(type, values)) <= {int, float}:
+        with contextlib.suppress(OverflowError):
+            return np.array(values, dtype=float)
+    return np.array([_as_number(value, name) for value in values])
 
 
 def _parse_matrix(value, name: str) -> np.ndarray:
@@ -282,14 +310,14 @@ def _parse_matrix(value, name: str) -> np.ndarray:
     widths = {len(row) for row in value}
     if len(widths) > 1:
         raise ModelFormatError(f"ragged matrix {name}: row lengths {sorted(widths)}")
-    entries = _as_numbers(list(itertools.chain.from_iterable(value)), f"{name} entry")
-    return np.array(entries, dtype=float).reshape(len(value), widths.pop())
+    entries = _as_array(list(itertools.chain.from_iterable(value)), f"{name} entry")
+    return entries.reshape(len(value), widths.pop())
 
 
 def _parse_vector(value, name: str) -> np.ndarray:
     if not isinstance(value, list):
         raise ModelFormatError(f"{name} must be an array of numbers")
-    return np.array(_as_numbers(value, f"{name} entry"), dtype=float)
+    return _as_array(value, f"{name} entry")
 
 
 def _parse_labels(value) -> dict:
@@ -317,6 +345,10 @@ def load_model(document: str) -> ModelSpec:
         raw = json.loads(document, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"invalid JSON: {exc}") from exc
+    except ValueError:
+        # an integer literal past the int-conversion digit limit: parse again,
+        # keeping it as a stand-in, so that its field names it
+        raw = json.loads(document, parse_constant=_reject_constant, parse_int=_parse_int)
     if not isinstance(raw, dict):
         raise ModelFormatError("top level must be a JSON object")
 

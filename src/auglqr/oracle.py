@@ -7,8 +7,9 @@ the linear-algebra kernel is shared with the solver modules, so agreement
 between the two routes is evidence rather than tautology.
 
 This module favors transparency over speed; it exists to generate ground
-truth for small models.  The value matrices of every period come back as
-two arrays indexed by period, filled in place from the terminal one back.
+truth for small models.  Only the date-0 answer comes back: each step needs
+just the next period's value matrices, so two periods are held at a time and
+memory does not grow with the horizon.
 """
 
 from __future__ import annotations
@@ -20,17 +21,13 @@ from .model import ModelSpec, symmetrize
 
 
 class FiniteHorizonSolution(kernel.Frozen):
-    """Value matrices P(t), t = 0..horizon, and the date-0 gains.
+    """The date-0 value matrices P_y(0), P_z(0) and gains F_y(0), F_z(0),
+    named as the infinite-horizon solutions name them."""
 
-    ``P_y_seq[t]`` and ``P_z_seq[t]`` are P_y(t) and P_z(t): arrays of shape
-    (horizon + 1, n_y, n_y) and (horizon + 1, n_y, n_z).
-    """
-
-    horizon: int
-    P_y_seq: np.ndarray
-    P_z_seq: np.ndarray
-    F_y_T: np.ndarray
-    F_z_T: np.ndarray
+    P_y: np.ndarray
+    P_z: np.ndarray
+    F_y: np.ndarray
+    F_z: np.ndarray
 
 
 def backward_induction(spec: ModelSpec, horizon: int) -> FiniteHorizonSolution:
@@ -43,8 +40,8 @@ def backward_induction(spec: ModelSpec, horizon: int) -> FiniteHorizonSolution:
 
     with the time-t gains taken from P(t+1), F_y(t) = -S^{-1} b B' P_y(t+1) A
     for S = R + b B' P_y(t+1) B, and Abar_t = A + B F_y(t).  The returned
-    gains are the date-0 ones, which converge to the stationary solution as
-    the horizon grows.
+    values and gains are the date-0 ones, which converge to the stationary
+    solution as the horizon grows.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -55,31 +52,25 @@ def backward_induction(spec: ModelSpec, horizon: int) -> FiniteHorizonSolution:
     r = symmetrize(spec.R)
     q_yz = spec.Q_yz
 
-    p_y_seq = np.empty((horizon + 1, dims.n_y, dims.n_y))
-    p_z_seq = np.empty((horizon + 1, dims.n_y, dims.n_z))
-    p_y_seq[horizon] = q
-    p_z_seq[horizon] = q_yz
-
+    p_y, p_z = q, q_yz  # P(T), then P(t) after the step for period t
     f_y = np.zeros((dims.n_u, dims.n_y))
     f_z = np.zeros((dims.n_u, dims.n_z))
-    for t in reversed(range(horizon)):
-        p_next = p_y_seq[t + 1]
+    for _ in range(horizon):
+        p_next = p_y  # P_y(t+1); P_z(t+1) is read from p_z before it is replaced
         s = symmetrize(r + beta * (b.T @ p_next @ b))
         f_y = -kernel.solve_linear(s, beta * (b.T @ p_next @ a))
-        p_y_seq[t] = symmetrize(
+        p_y = symmetrize(
             q + beta * (a.T @ p_next @ a) + beta * (a.T @ p_next @ b) @ f_y
         )
         abar = a + b @ f_y
         if dims.n_z:
             f_z = -kernel.solve_linear(
-                s, beta * (b.T @ (p_next @ a_yz + p_z_seq[t + 1] @ a_zz))
+                s, beta * (b.T @ (p_next @ a_yz + p_z @ a_zz))
             )
-            p_z_seq[t] = (
+            p_z = (
                 q_yz
                 + beta * (abar.T @ p_next @ a_yz)
-                + beta * (abar.T @ p_z_seq[t + 1] @ a_zz)
+                + beta * (abar.T @ p_z @ a_zz)
             )
 
-    return FiniteHorizonSolution(
-        horizon=horizon, P_y_seq=p_y_seq, P_z_seq=p_z_seq, F_y_T=f_y, F_z_T=f_z
-    )
+    return FiniteHorizonSolution(P_y=p_y, P_z=p_z, F_y=f_y, F_z=f_z)

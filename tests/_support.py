@@ -16,6 +16,7 @@ from auglqr import (
     load_model,
     run_checks,
 )
+from auglqr.kernel import solve_linear
 from auglqr.model import _MATRIX_FIELDS, _VECTOR_FIELDS, symmetrize
 from auglqr.regulator import gain
 
@@ -80,6 +81,41 @@ def riccati_rhs(P: np.ndarray, spec: ModelSpec) -> np.ndarray:
     w = spec.beta * (spec.B_y.T @ P @ a)  # b B' P A
     f = gain(spec, P, w)
     return symmetrize(symmetrize(spec.Q_yy) + spec.beta * (a.T @ P @ a) + w.T @ f)
+
+
+def backward_step(spec: ModelSpec, p_y: np.ndarray, p_z: np.ndarray):
+    """One period of finite-horizon backward induction.
+
+    From next period's P_y(t+1), P_z(t+1), returns (P_y(t), P_z(t), F_y(t),
+    F_z(t)), each expression written as ``oracle.backward_induction`` writes
+    it, so the two agree bit for bit.
+    """
+    a, b, beta = spec.A_yy, spec.B_y, spec.beta
+    s = symmetrize(symmetrize(spec.R) + beta * (b.T @ p_y @ b))
+    f_y = -solve_linear(s, beta * (b.T @ p_y @ a))
+    f_z = -solve_linear(s, beta * (b.T @ (p_y @ spec.A_yz + p_z @ spec.A_zz)))
+    abar = a + b @ f_y
+    return (
+        symmetrize(symmetrize(spec.Q_yy) + beta * (a.T @ p_y @ a) + beta * (a.T @ p_y @ b) @ f_y),
+        spec.Q_yz + beta * (abar.T @ p_y @ spec.A_yz) + beta * (abar.T @ p_z @ spec.A_zz),
+        f_y,
+        f_z,
+    )
+
+
+def backward_periods(spec: ModelSpec, horizon: int) -> list:
+    """(P_y(t), P_z(t), F_y(t), F_z(t)) for t = 0..horizon-1, by period.
+
+    The per-period loop of backward induction from the terminal condition
+    P_y(horizon) = Q_yy, P_z(horizon) = Q_yz; the package's oracle returns
+    only period 0.
+    """
+    p_y, p_z = symmetrize(spec.Q_yy), spec.Q_yz
+    periods = []
+    for _ in range(horizon):
+        p_y, p_z, f_y, f_z = backward_step(spec, p_y, p_z)
+        periods.append((p_y, p_z, f_y, f_z))
+    return periods[::-1]
 
 
 def scalar_riccati_root(beta: float, a: float, b: float, q: float, r: float) -> float:

@@ -104,10 +104,10 @@ def test_criterion_4_oracle_equivalence(solved_suite):
         eligible += 1
         sol = backward_induction(spec, 500)
         gaps = {
-            "P_y": _gap(reg.P_y, sol.P_y_seq[0]),
-            "F_y": _gap(reg.F_y, sol.F_y_T),
-            "P_z": _gap(aug.P_z, sol.P_z_seq[0]),
-            "F_z": _gap(aug.F_z, sol.F_z_T),
+            "P_y": _gap(reg.P_y, sol.P_y),
+            "F_y": _gap(reg.F_y, sol.F_y),
+            "P_z": _gap(aug.P_z, sol.P_z),
+            "F_z": _gap(aug.F_z, sol.F_z),
         }
         for key, value in gaps.items():
             if value > 1e-8:

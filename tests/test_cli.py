@@ -113,6 +113,27 @@ class TestExitStatuses:
             "violations": ["beta must lie in (0, 1], got 1.5"],
         }
 
+    @pytest.mark.parametrize(
+        "field, digits, message",
+        [
+            ("beta", 401, "beta must fit in a double, got an integer of 401 digits"),
+            ("A_zz", 401, "A_zz entry must fit in a double, got an integer of 401 digits"),
+            ("k0", 401, "k0 entry must fit in a double, got an integer of 401 digits"),
+            # past Python's int-conversion digit limit (4,300 by default)
+            ("A_zz", 5001, "A_zz entry must fit in a double, got an integer of 5001 digits"),
+        ],
+    )
+    def test_integer_too_large_for_a_double_is_a_load_error(
+        self, capsys, tmp_path, field, digits, message
+    ):
+        doc = json.loads((MODELS_DIR / "back.json").read_text())
+        doc[field] = {"beta": "@", "A_zz": [["@"]], "k0": ["@"]}[field]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc).replace('"@"', "1" + "0" * (digits - 1)))
+        code, out, err = run(capsys, "validate", "--model", str(path))
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [f"error [model-load]: {message}"]
+
 
 class TestUsageErrors:
     """argparse's usage errors exit 1; status 2 is kept for numerical failure."""

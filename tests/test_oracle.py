@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,35 +12,57 @@ from auglqr import (
 from auglqr.kernel import inf_norm
 from auglqr.model import symmetrize
 
-from _support import GOLDEN_F_Y, GOLDEN_X0, grid_search_x0, scalar_spec
+from _support import (
+    GOLDEN_F_Y,
+    GOLDEN_X0,
+    backward_periods,
+    backward_step,
+    grid_search_x0,
+    random_stabilizable_model,
+    scalar_spec,
+    single_input_model,
+)
 
 
-def test_terminal_conditions(back_spec):
-    sol = backward_induction(back_spec, 3)
-    n_y, n_z = back_spec.dims.n_y, back_spec.dims.n_z
-    assert (sol.P_y_seq.shape, sol.P_z_seq.shape) == ((4, n_y, n_y), (4, n_y, n_z))
-    assert np.array_equal(sol.P_y_seq[3], symmetrize(back_spec.Q_yy))
-    assert np.array_equal(sol.P_z_seq[3], back_spec.Q_yz)
+def test_terminal_conditions(back_spec, golden_spec):
+    # the horizon-1 answer is one step from P_y(1) = Q_yy, P_z(1) = Q_yz
+    drawn = random_stabilizable_model(np.random.default_rng(4), 2, 1, 2, 2, 0.95)
+    for spec in (back_spec, golden_spec, drawn):
+        sol = backward_induction(spec, 1)
+        step = backward_step(spec, symmetrize(spec.Q_yy), spec.Q_yz)
+        for got, want in zip((sol.P_y, sol.P_z, sol.F_y, sol.F_z), step):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("horizon", [1, 3, 50])
+def test_date_zero_of_the_per_period_loop(back_spec, horizon):
+    # P_z(t) must be formed from P_y(t+1), before P_y(t) replaces it
+    spec = random_stabilizable_model(np.random.default_rng(horizon), 2, 2, 2, 1, 0.99)
+    for model in (back_spec, spec):
+        sol = backward_induction(model, horizon)
+        first = backward_periods(model, horizon)[0]
+        for got, want in zip((sol.P_y, sol.P_z, sol.F_y, sol.F_z), first):
+            assert np.array_equal(got, want)
 
 
 def test_single_step_zero_transition():
     spec = scalar_spec(beta=0.9, a=0.0, q=2.0)
     sol = backward_induction(spec, 1)
-    assert np.array_equal(sol.P_y_seq[0], [[2.0]])
-    assert sol.P_z_seq.shape == (2, 1, 0)  # no forcing: an empty P_z in every period
-    assert np.array_equal(sol.F_y_T, [[0.0]])
+    assert np.array_equal(sol.P_y, [[2.0]])
+    assert sol.P_z.shape == sol.F_z.shape == (1, 0)  # no forcing: empty P_z and F_z
+    assert np.array_equal(sol.F_y, [[0.0]])
 
 
 def test_golden_gain_converges(golden_spec):
     sol = backward_induction(golden_spec, 500)
-    assert abs(sol.F_y_T[0, 0] - GOLDEN_F_Y) <= 1e-10
+    assert abs(sol.F_y[0, 0] - GOLDEN_F_Y) <= 1e-10
 
 
 def test_back_gains_converged_between_499_and_500(back_spec):
     a = backward_induction(back_spec, 499)
     b = backward_induction(back_spec, 500)
-    assert inf_norm(a.F_y_T - b.F_y_T) <= 1e-10
-    assert inf_norm(a.F_z_T - b.F_z_T) <= 1e-10
+    assert inf_norm(a.F_y - b.F_y) <= 1e-10
+    assert inf_norm(a.F_z - b.F_z) <= 1e-10
 
 
 def test_convergence_to_infinite_horizon_is_monotone(golden_spec, back_spec):
@@ -49,10 +73,25 @@ def test_convergence_to_infinite_horizon_is_monotone(golden_spec, back_spec):
         for horizon in (25, 50, 100, 200, 400):
             sol = backward_induction(spec, horizon)
             errors.append(
-                max(inf_norm(sol.F_y_T - reg.F_y), inf_norm(sol.F_z_T - aug.F_z))
+                max(inf_norm(sol.F_y - reg.F_y), inf_norm(sol.F_z - aug.F_z))
             )
         assert all(b <= a * (1 + 1e-12) + 1e-15 for a, b in zip(errors, errors[1:]))
         assert errors[-1] < 1e-8
+
+
+def test_memory_does_not_grow_with_horizon():
+    # two periods of state at any horizon: 400 periods of n_y = 60 value
+    # matrices alone would take 11.5 MB
+    spec = single_input_model(np.random.default_rng(60), 60)
+    peaks = {}
+    for horizon in (10, 400):
+        tracemalloc.start()
+        try:
+            backward_induction(spec, horizon)
+            peaks[horizon] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[400] <= 2 * peaks[10], peaks
 
 
 def test_horizon_validated(back_spec):

@@ -13,7 +13,6 @@ from auglqr import (
     ClosedLoopSystem,
     DivergenceError,
     InstabilityError,
-    backward_induction,
     build_closed_loop,
     irf,
     simulate_path,
@@ -21,8 +20,7 @@ from auglqr import (
     solve_riccati,
 )
 from auglqr.cli import main
-from auglqr.kernel import solve_linear, spectral_radius, stein
-from auglqr.model import symmetrize
+from auglqr.kernel import spectral_radius, stein
 from auglqr.simulate import _SETTLE_CHUNK, state_path
 
 from _support import (
@@ -30,6 +28,7 @@ from _support import (
     GOLDEN_LOSS,
     GOLDEN_TCL_YZ,
     GOLDEN_X0,
+    backward_periods,
     random_stabilizable_model,
     reference_path,
     save_model,
@@ -52,25 +51,17 @@ def eigvals_calls(monkeypatch):
 
 
 def oracle_loss(spec, anchored_x0, horizon):
-    """Finite-horizon loss under the oracle's time-varying gains.
+    """Finite-horizon loss under the time-varying gains of backward induction.
 
-    Rolls the state forward with the date-t gains recovered from the
-    backward-induction value sequences; shares nothing with simulate_path.
+    Rolls the state forward with the date-t gains of the per-period backward
+    loop; shares nothing with simulate_path.
     """
-    sol = backward_induction(spec, horizon)
     a, b, beta = spec.A_yy, spec.B_y, spec.beta
-    r = symmetrize(spec.R)
     y = np.concatenate([spec.k0, anchored_x0])
     z = spec.z0.copy()
     loss = 0.0
     discount = 1.0
-    for t in range(horizon):
-        p_next = sol.P_y_seq[t + 1]
-        s = symmetrize(r + beta * (b.T @ p_next @ b))
-        f_y = -solve_linear(s, beta * (b.T @ p_next @ a))
-        f_z = -solve_linear(
-            s, beta * (b.T @ (p_next @ spec.A_yz + sol.P_z_seq[t + 1] @ spec.A_zz))
-        )
+    for _, _, f_y, f_z in backward_periods(spec, horizon):
         u = f_y @ y + f_z @ z
         loss += 0.5 * discount * float(
             y @ spec.Q_yy @ y + 2.0 * (y @ spec.Q_yz @ z) + u @ spec.R @ u

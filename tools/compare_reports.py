@@ -12,7 +12,10 @@ under each tree's ``src/``, the two trees in parallel processes:
   ``--force``;
 - ``simulate``, ``simulate --noise-seed 0`` and ``irf`` with ``--force``,
   JSON and CSV, at horizons 1, 500 and 10,000, and at 1,076-1,078 and
-  3,333-3,335, where the golden and back paths reach their fixed points.
+  3,333-3,335, where the golden and back paths reach their fixed points;
+- ``oracle-compare`` with ``--force``, JSON and CSV, at horizons 1 and 3,
+  where a slip in the order of the P_y and P_z updates shows before the
+  recursion settles (the plain runs above cover its default, 500).
 
 It prints every argv whose exit status, stdout or stderr differs between
 the trees and exits 1 if there is one, 0 if there is none, and 2 if REV
@@ -37,8 +40,14 @@ from pathlib import Path
 
 WORKLOADS = ("cli-mix", "solve-ladder", "riccati-hard", "simulate-long")
 COMMANDS = ("validate", "check", "solve", "simulate", "irf", "var", "oracle-compare")
-PATH_COMMANDS = (("simulate",), ("simulate", "--noise-seed", "0"), ("irf",))
-HORIZONS = (1, 500, 10_000, 1_076, 1_077, 1_078, 3_333, 3_334, 3_335)
+PATH_HORIZONS = (1, 500, 10_000, 1_076, 1_077, 1_078, 3_333, 3_334, 3_335)
+#: argv prefix -> the horizons it runs at, each with --force
+HORIZON_RUNS = {
+    ("simulate",): PATH_HORIZONS,
+    ("simulate", "--noise-seed", "0"): PATH_HORIZONS,
+    ("irf",): PATH_HORIZONS,
+    ("oracle-compare",): (1, 3),
+}
 FORMATS = ("json", "csv")
 #: argvs with a differing stdout that are run again to show the first differing line
 SHOWN = 20
@@ -66,8 +75,8 @@ def argv_matrix(models: list[Path]) -> list[list[str]]:
             for fmt in FORMATS:
                 for force in ((), ("--force",)):
                     matrix.append([command, "--model", str(model), "--format", fmt, *force])
-        for command in PATH_COMMANDS:
-            for horizon in HORIZONS:
+        for command, horizons in HORIZON_RUNS.items():
+            for horizon in horizons:
                 for fmt in FORMATS:
                     matrix.append([*command, "--model", str(model), "--format", fmt,
                                    "--horizon", str(horizon), "--force"])
