@@ -7,7 +7,9 @@ With the feedback loop Abar = A_yy + B_y F_y closed, P_z solves the linear
 
 and completes the rule u_t = F_y y_t + F_z z_t through
 
-    F_z = -(R + b B' P_y B)^{-1} b B' (P_y A_yz + P_z A_zz).
+    F_z = -S^{-1} b B' (P_y A_yz + P_z A_zz),
+
+with the S^{-1} of the feedback gain, carried as ``RegulatorSolution.S_inv``.
 
 That is the Stein equation X = C + b M X N with C = Q_yz + b Abar' P_y A_yz,
 M = Abar' and N = A_zz, which ``kernel.stein`` solves by Smith doubling
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import kernel
 from .model import ModelSpec
-from .regulator import RegulatorSolution, gain
+from .regulator import RegulatorSolution
 
 
 class AugmentedSolution(kernel.Frozen):
@@ -53,13 +55,6 @@ def solve_sylvester(spec: ModelSpec, reg: RegulatorSolution) -> AugmentedSolutio
     abar = spec.A_yy + spec.B_y @ reg.F_y
     c = spec.Q_yz + spec.beta * (abar.T @ reg.P_y @ spec.A_yz)
     p_z, iterations, residual = kernel.stein(abar.T, spec.A_zz, c, spec.beta)
-    f_z = feedforward_gain(spec, reg, p_z)
+    w_z = spec.beta * (spec.B_y.T @ (reg.P_y @ spec.A_yz + p_z @ spec.A_zz))
+    f_z = -(reg.S_inv @ w_z)
     return AugmentedSolution(P_z=p_z, F_z=f_z, iterations=iterations, residual=residual)
-
-
-def feedforward_gain(
-    spec: ModelSpec, reg: RegulatorSolution, P_z: np.ndarray
-) -> np.ndarray:
-    """F_z = -(R + b B' P_y B)^{-1} b B' (P_y A_yz + P_z A_zz)."""
-    w = spec.beta * (spec.B_y.T @ (reg.P_y @ spec.A_yz + P_z @ spec.A_zz))
-    return gain(spec, reg.P_y, w)

@@ -421,7 +421,9 @@ def main(argv=None) -> int:
 
     try:
         output, code = _dispatch(args, at)
-    except (OSError, ModelFormatError) as exc:
+    # a model file that is not UTF-8 is an I/O error, though Python files
+    # UnicodeDecodeError under ValueError
+    except (OSError, ModelFormatError, UnicodeDecodeError) as exc:
         _diag(f"error [{stage}]: {exc}")
         return EXIT_IO
     except (DimensionError, ValueError) as exc:

@@ -107,7 +107,7 @@ def rank(m: np.ndarray) -> int:
 
     Complex input keeps its imaginary part (the PBH gate passes A - lambda I).
     Rank decides no invertibility: whether a matrix can be inverted is left
-    to the reciprocal-condition gate of :func:`solve_linear` alone.
+    to the reciprocal-condition gate of :func:`inverse` alone.
     """
     m = np.atleast_2d(np.asarray(m))
     if m.size == 0:
@@ -118,27 +118,20 @@ def rank(m: np.ndarray) -> int:
     return int(np.count_nonzero(s > RANK_RTOL * max(m.shape) * s[0]))
 
 
-def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b through the explicit inverse of a.
+def inverse(a: np.ndarray) -> np.ndarray:
+    """The inverse of a square matrix, in a fresh array; an empty one is its own.
 
-    Accepts a vector or matrix right-hand side and returns x with the same
-    layout, in a fresh array.  Raises :class:`SingularMatrixError`, naming the
-    reciprocal condition number rcond = 1 / (||a||_1 ||a^{-1}||_1), when
-    rcond <= RCOND_MIN or LAPACK finds a exactly singular (rcond 0).
+    Raises :class:`SingularMatrixError`, naming the reciprocal condition
+    number rcond = 1 / (||a||_1 ||a^{-1}||_1), when rcond <= RCOND_MIN or
+    LAPACK finds a exactly singular (rcond 0).
     """
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"coefficient matrix must be square, got shape {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise DimensionError(
-            f"right-hand side has {b.shape[0]} rows, expected {a.shape[0]}"
-        )
     if a.shape[0] == 0:
-        return np.zeros_like(b)
+        return np.zeros((0, 0))
 
-    # one inverse, then a product, beats an LU solve on these small systems,
-    # and the inverse gives the exact 1-norm condition number for free
+    # the explicit inverse gives the exact 1-norm condition number for free
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
@@ -150,6 +143,17 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"singular matrix: reciprocal condition {rcond:.3e}"
             f" (threshold {RCOND_MIN:.0e})"
         )
+    return inv
+
+
+def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a @ x = b as :func:`inverse` (a) @ b, which beats an LU solve on
+    these small systems.  x has the layout of b, a vector or a matrix, in a
+    fresh array."""
+    inv = inverse(a)
+    b = np.asarray(b, dtype=float)
+    if b.shape[0] != len(inv):
+        raise DimensionError(f"right-hand side has {b.shape[0]} rows, expected {len(inv)}")
     return inv @ b
 
 

@@ -281,9 +281,16 @@ def _parse_int(token: str):
 def _as_number(value, name: str) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            return float(value)
+            number = float(value)
         except OverflowError:
             value = _LongInteger(str(value))
+        else:
+            if math.isfinite(number):
+                return number
+            # json reads a float literal past the double range as +-inf
+            raise ModelFormatError(
+                f"{name} must fit in a double, got a number that overflows to {number}"
+            )
     if isinstance(value, _LongInteger):
         raise ModelFormatError(f"{name} must fit in a double, got {value!r}")
     raise ModelFormatError(f"{name} must be a number, got {value!r}")
@@ -292,13 +299,16 @@ def _as_number(value, name: str) -> float:
 def _as_array(values: list, name: str) -> np.ndarray:
     """The items as a float array.
 
-    One pass checks the item types; only a list that fails it or overflows
-    a double is converted item by item, so the error names the first item
-    that is not a number (a bool is not) or that no double holds.
+    One pass checks the item types and one the converted values; only a
+    list that fails either, or overflows a double, is converted item by
+    item, so the error names the first item that is not a number (a bool is
+    not) or that no double holds.
     """
     if set(map(type, values)) <= {int, float}:
         with contextlib.suppress(OverflowError):
-            return np.array(values, dtype=float)
+            array = np.array(values, dtype=float)
+            if np.isfinite(array).all():
+                return array
     return np.array([_as_number(value, name) for value in values])
 
 
@@ -342,13 +352,18 @@ def load_model(document: str) -> ModelSpec:
     are deferred to :func:`validate`.
     """
     try:
-        raw = json.loads(document, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"invalid JSON: {exc}") from exc
-    except ValueError:
-        # an integer literal past the int-conversion digit limit: parse again,
-        # keeping it as a stand-in, so that its field names it
-        raw = json.loads(document, parse_constant=_reject_constant, parse_int=_parse_int)
+        try:
+            raw = json.loads(document, parse_constant=_reject_constant)
+        except json.JSONDecodeError as exc:
+            raise ModelFormatError(f"invalid JSON: {exc}") from exc
+        except ValueError:
+            # an integer literal past the int-conversion digit limit: parse
+            # again, keeping it as a stand-in, so that its field names it
+            raw = json.loads(
+                document, parse_constant=_reject_constant, parse_int=_parse_int
+            )
+    except RecursionError as exc:
+        raise ModelFormatError("invalid JSON: arrays or objects nested too deeply") from exc
     if not isinstance(raw, dict):
         raise ModelFormatError("top level must be a JSON object")
 

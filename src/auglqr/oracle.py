@@ -57,16 +57,14 @@ def backward_induction(spec: ModelSpec, horizon: int) -> FiniteHorizonSolution:
     f_z = np.zeros((dims.n_u, dims.n_z))
     for _ in range(horizon):
         p_next = p_y  # P_y(t+1); P_z(t+1) is read from p_z before it is replaced
-        s = symmetrize(r + beta * (b.T @ p_next @ b))
-        f_y = -kernel.solve_linear(s, beta * (b.T @ p_next @ a))
+        s_inv = kernel.inverse(symmetrize(r + beta * (b.T @ p_next @ b)))
+        f_y = -(s_inv @ (beta * (b.T @ p_next @ a)))
         p_y = symmetrize(
             q + beta * (a.T @ p_next @ a) + beta * (a.T @ p_next @ b) @ f_y
         )
         abar = a + b @ f_y
         if dims.n_z:
-            f_z = -kernel.solve_linear(
-                s, beta * (b.T @ (p_next @ a_yz + p_z @ a_zz))
-            )
+            f_z = -(s_inv @ (beta * (b.T @ (p_next @ a_yz + p_z @ a_zz))))
             p_z = (
                 q_yz
                 + beta * (abar.T @ p_next @ a_yz)

@@ -44,6 +44,8 @@ class RegulatorSolution(kernel.Frozen):
 
     ``radius_cl`` is the checked spectral radius of the closed loop ``A_cl`` =
     A_yy + B_y F_y; a reader reuses it only while its loop equals ``A_cl``.
+    ``S_inv`` is the inverse of S = R + b B' P_y B at this P_y, the factor of
+    F_y here and of the feedforward gain F_z in ``augmented``.
     """
 
     P_y: np.ndarray
@@ -52,13 +54,7 @@ class RegulatorSolution(kernel.Frozen):
     residual: float
     A_cl: np.ndarray
     radius_cl: float
-
-
-def gain(spec: ModelSpec, p_y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """-(R + b B' P_y B)^{-1} w: the feedback gain for w = b B' P_y A_yy and
-    the feedforward gain for w = b B' (P_y A_yz + P_z A_zz)."""
-    b = spec.B_y
-    return -kernel.solve_linear(symmetrize(spec.R + spec.beta * (b.T @ p_y @ b)), w)
+    S_inv: np.ndarray
 
 
 def solve_riccati(spec: ModelSpec, tol: float = kernel.DEFAULT_TOL) -> RegulatorSolution:
@@ -72,7 +68,8 @@ def solve_riccati(spec: ModelSpec, tol: float = kernel.DEFAULT_TOL) -> Regulator
     root = math.sqrt(spec.beta)
     b = root * spec.B_y
     g_0 = symmetrize(b @ kernel.solve_linear(symmetrize(spec.R), b.T))
-    steps = _sda(root * spec.A_yy, g_0, symmetrize(spec.Q_yy))
+    q = symmetrize(spec.Q_yy)
+    steps = _sda(root * spec.A_yy, g_0, q)
     h_k, iteration, scale = kernel.converge(steps, "Riccati", tol)
 
     # H_k is symmetric by construction and PSD up to roundoff; losing
@@ -83,8 +80,10 @@ def solve_riccati(spec: ModelSpec, tol: float = kernel.DEFAULT_TOL) -> Regulator
             f" after {iteration} iterations"
         )
     a = spec.A_yy
-    w = spec.beta * (spec.B_y.T @ h_k @ a)  # b B' P A
-    f = gain(spec, h_k, w)
+    bp = spec.B_y.T @ h_k
+    s_inv = kernel.inverse(symmetrize(spec.R + spec.beta * (bp @ spec.B_y)))
+    w = spec.beta * (bp @ a)  # b B' P A
+    f = -(s_inv @ w)
     a_cl = a + spec.B_y @ f
     radius = kernel.spectral_radius(a_cl)
     limit = 1.0 / root - STABILITY_MARGIN
@@ -93,8 +92,8 @@ def solve_riccati(spec: ModelSpec, tol: float = kernel.DEFAULT_TOL) -> Regulator
             f"closed loop not stabilizing: spectral radius {radius:.12g}"
             f" >= {limit:.12g}"
         )
-    # the Riccati map at H_k, reusing its gain solve
-    t_h = symmetrize(symmetrize(spec.Q_yy) + spec.beta * (a.T @ h_k @ a) + w.T @ f)
+    # the Riccati map at H_k, reusing its gain
+    t_h = symmetrize(q + spec.beta * (a.T @ h_k @ a) + w.T @ f)
     residual = kernel.inf_norm(t_h - h_k)
     return RegulatorSolution(
         P_y=h_k,
@@ -103,6 +102,7 @@ def solve_riccati(spec: ModelSpec, tol: float = kernel.DEFAULT_TOL) -> Regulator
         residual=residual,
         A_cl=a_cl,
         radius_cl=radius,
+        S_inv=s_inv,
     )
 
 

@@ -11,8 +11,8 @@ turns the closed loop into an observationally equivalent autoregressive
 system in (y, u): next-period instruments respond only to lagged observables.
 The forcing variables remain recoverable from the observables through
 z_t = F_z^{-1} u_t - F_z^{-1} F_y y_t.  F_z counts as invertible when
-:func:`kernel.solve_linear` accepts it: its reciprocal 1-norm condition
-number must exceed ``kernel.RCOND_MIN``.
+:func:`kernel.inverse` accepts it: its reciprocal 1-norm condition number
+must exceed ``kernel.RCOND_MIN``.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def to_var(
             f"F_z not square, VAR representation undefined (n_u = {n_u}, n_z = {n_z})"
         )
     try:
-        fz_inv = kernel.solve_linear(aug.F_z, np.eye(n_z))
+        fz_inv = kernel.inverse(aug.F_z)
     except SingularMatrixError as exc:
         raise SingularMatrixError(f"F_z too ill-conditioned to invert: {exc}") from exc
     fz_inv_fy = fz_inv @ reg.F_y

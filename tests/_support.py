@@ -16,9 +16,8 @@ from auglqr import (
     load_model,
     run_checks,
 )
-from auglqr.kernel import solve_linear
+from auglqr.kernel import inverse
 from auglqr.model import _MATRIX_FIELDS, _VECTOR_FIELDS, symmetrize
-from auglqr.regulator import gain
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -78,8 +77,9 @@ def riccati_rhs(P: np.ndarray, spec: ModelSpec) -> np.ndarray:
     residual equals ||riccati_rhs(P_y) - P_y||_inf bit for bit.
     """
     a = spec.A_yy
-    w = spec.beta * (spec.B_y.T @ P @ a)  # b B' P A
-    f = gain(spec, P, w)
+    bp = spec.B_y.T @ P
+    w = spec.beta * (bp @ a)  # b B' P A
+    f = -(inverse(symmetrize(spec.R + spec.beta * (bp @ spec.B_y))) @ w)
     return symmetrize(symmetrize(spec.Q_yy) + spec.beta * (a.T @ P @ a) + w.T @ f)
 
 
@@ -91,9 +91,9 @@ def backward_step(spec: ModelSpec, p_y: np.ndarray, p_z: np.ndarray):
     it, so the two agree bit for bit.
     """
     a, b, beta = spec.A_yy, spec.B_y, spec.beta
-    s = symmetrize(symmetrize(spec.R) + beta * (b.T @ p_y @ b))
-    f_y = -solve_linear(s, beta * (b.T @ p_y @ a))
-    f_z = -solve_linear(s, beta * (b.T @ (p_y @ spec.A_yz + p_z @ spec.A_zz)))
+    s_inv = inverse(symmetrize(symmetrize(spec.R) + beta * (b.T @ p_y @ b)))
+    f_y = -(s_inv @ (beta * (b.T @ p_y @ a)))
+    f_z = -(s_inv @ (beta * (b.T @ (p_y @ spec.A_yz + p_z @ spec.A_zz))))
     abar = a + b @ f_y
     return (
         symmetrize(symmetrize(spec.Q_yy) + beta * (a.T @ p_y @ a) + beta * (a.T @ p_y @ b) @ f_y),

@@ -6,6 +6,20 @@ from auglqr import solve
 from _support import SUITE_DIMS, load_fixture, random_stabilizable_model
 
 
+@pytest.fixture
+def inv_calls(monkeypatch):
+    """The matrices np.linalg.inv is called on, in call order."""
+    calls = []
+    original = np.linalg.inv
+
+    def counted(m):
+        calls.append(np.array(m))
+        return original(m)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def golden_spec():
     return load_fixture("golden.json")

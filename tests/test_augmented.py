@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from auglqr import Dims, ModelSpec, solve_riccati, solve_sylvester
-from auglqr.augmented import feedforward_gain
 from auglqr.kernel import inf_norm
+from auglqr.model import symmetrize
 
 from _support import (
     GOLDEN_F_Z,
     GOLDEN_P_Z,
+    PHI,
     dense_stein_solution,
     random_stabilizable_model,
     scalar_spec,
@@ -19,6 +20,17 @@ from _support import (
 def forcing_pair(spec):
     reg = solve_riccati(spec)
     return reg, solve_sylvester(spec, reg)
+
+
+def s_matrix(spec, reg):
+    """S = R + b B' P_y B, the matrix both gains invert."""
+    return symmetrize(spec.R + spec.beta * (spec.B_y.T @ reg.P_y @ spec.B_y))
+
+
+def feedforward(spec, reg, p_z):
+    """-S^{-1} b B' (P_y A_yz + P_z A_zz) by an LU solve, not the carried inverse."""
+    w = spec.beta * (spec.B_y.T @ (reg.P_y @ spec.A_yz + p_z @ spec.A_zz))
+    return -np.linalg.solve(s_matrix(spec, reg), w)
 
 
 def sylvester_gap(spec, reg, aug):
@@ -60,7 +72,7 @@ class TestSolveSylvester:
         for spec in (golden_spec, back_spec, model, persistent, unforced):
             reg, aug = forcing_pair(spec)
             p_ref = dense_stein_solution(spec, reg)
-            f_ref = feedforward_gain(spec, reg, p_ref)
+            f_ref = feedforward(spec, reg, p_ref)
             assert aug.P_z.shape == p_ref.shape
             assert inf_norm(aug.P_z - p_ref) <= 1e-9 * (1.0 + inf_norm(p_ref))
             assert inf_norm(aug.F_z - f_ref) <= 1e-9 * (1.0 + inf_norm(f_ref))
@@ -116,19 +128,42 @@ class TestSolveSylvester:
 
 
 class TestFeedforwardGain:
+    """F_z reuses the S^{-1} the Riccati step carries as ``reg.S_inv``."""
+
     def test_zero_when_uncoupled(self):
         spec = scalar_spec(beta=0.95, a=0.5, a_yz=0.0, a_zz=0.5)
         reg = solve_riccati(spec)
-        f_z = feedforward_gain(spec, reg, np.zeros((1, 1)))
-        assert np.array_equal(f_z, [[0.0]])
+        w = spec.beta * (spec.B_y.T @ (reg.P_y @ spec.A_yz))  # P_z = 0
+        assert np.array_equal(-(reg.S_inv @ w), [[0.0]])
 
     def test_golden_value(self, golden_solved):
         spec, reg, aug, _, _ = golden_solved
-        f_z = feedforward_gain(spec, reg, aug.P_z)
+        # S = r + b p b = 1 + PHI
+        assert reg.S_inv[0, 0] == pytest.approx(1.0 / (1.0 + PHI), abs=1e-12)
+        w = spec.beta * (spec.B_y.T @ (reg.P_y @ spec.A_yz + aug.P_z @ spec.A_zz))
+        f_z = -(reg.S_inv @ w)
+        assert np.array_equal(aug.F_z, f_z)
         assert f_z[0, 0] == pytest.approx(GOLDEN_F_Z, abs=1e-9)
 
     def test_shapes(self):
         rng = np.random.default_rng(43)
         model = random_stabilizable_model(rng, 2, 1, 2, 2, 0.95)
         reg, aug = forcing_pair(model)
+        assert reg.S_inv.shape == (2, 2)
         assert aug.F_z.shape == (2, 2)
+
+    def test_carried_inverse_is_the_inverse_of_s(self, golden_spec, back_spec):
+        rng = np.random.default_rng(47)
+        models = [golden_spec, back_spec] + [
+            random_stabilizable_model(rng, *dims, 0.99)
+            for dims in [(2, 1, 2, 2), (4, 2, 3, 2), (3, 0, 0, 1)]
+        ]
+        for spec in models:
+            reg, aug = forcing_pair(spec)
+            assert np.array_equal(reg.S_inv, np.linalg.inv(s_matrix(spec, reg)))
+            assert not reg.S_inv.flags.writeable
+            w = spec.beta * (spec.B_y.T @ reg.P_y @ spec.A_yy)
+            assert np.array_equal(reg.F_y, -(reg.S_inv @ w))
+            assert inf_norm(aug.F_z - feedforward(spec, reg, aug.P_z)) <= 1e-12 * (
+                1.0 + inf_norm(aug.F_z)
+            )

@@ -134,6 +134,30 @@ class TestExitStatuses:
         assert (code, out) == (3, "")
         assert err.splitlines() == [f"error [model-load]: {message}"]
 
+    @pytest.mark.parametrize(
+        "old, new, encoding, message",
+        [
+            ('"beta": 0.99', '"beta": ' + "[" * 100_000 + "]" * 100_000, "utf-8",
+             "invalid JSON: arrays or objects nested too deeply"),
+            ("{", "\ufeff{", "utf-16-le",
+             "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            ('"beta": 0.99', '"beta": 1e400', "utf-8",
+             "beta must fit in a double, got a number that overflows to inf"),
+            ('"A_zz": [[0.8]]', '"A_zz": [[-1e999]]', "utf-8",
+             "A_zz entry must fit in a double, got a number that overflows to -inf"),
+        ],
+        ids=["deep-nesting", "not-utf-8", "float-overflow", "float-overflow-entry"],
+    )
+    def test_unreadable_document_is_a_load_error(
+        self, capsys, tmp_path, old, new, encoding, message
+    ):
+        text = json.dumps(json.loads((MODELS_DIR / "back.json").read_text()))
+        path = tmp_path / "model.json"
+        path.write_bytes(text.replace(old, new, 1).encode(encoding))
+        code, out, err = run(capsys, "validate", "--model", str(path))
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [f"error [model-load]: {message}"]
+
 
 class TestUsageErrors:
     """argparse's usage errors exit 1; status 2 is kept for numerical failure."""

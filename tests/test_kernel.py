@@ -66,6 +66,15 @@ class TestRank:
         assert kernel.rank([[1.0, 1j], [1j, 1.0]]) == 2
 
 
+def through_solve(a):
+    """The inverse of a as kernel.solve_linear returns it: a solve against I."""
+    return kernel.solve_linear(a, np.eye(np.shape(a)[0]))
+
+
+#: the two gated routes to an inverse; each gate case runs through both
+GATED = (kernel.inverse, through_solve)
+
+
 class TestSolveLinear:
     def test_identity(self):
         b = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -76,20 +85,23 @@ class TestSolveLinear:
         assert x == pytest.approx(np.array([[1.0], [2.0]]))
 
     def test_zero_matrix_singular(self):
-        with pytest.raises(SingularMatrixError, match="reciprocal condition|singular"):
-            kernel.solve_linear(np.zeros((2, 2)), np.ones((2, 1)))
+        for route in GATED:
+            with pytest.raises(SingularMatrixError, match="reciprocal condition|singular"):
+                route(np.zeros((2, 2)))
 
     def test_ill_conditioned_unit_pivots_rejected(self):
         # unit upper triangular, -1 above the diagonal: every LU pivot is 1,
         # but the 1-norm condition number is about 3.5e19
         a = np.eye(60) - np.triu(np.ones((60, 60)), 1)
-        with pytest.raises(SingularMatrixError, match="reciprocal condition"):
-            kernel.solve_linear(a, np.ones(60))
+        for route in GATED:
+            with pytest.raises(SingularMatrixError, match="reciprocal condition"):
+                route(a)
 
     def test_badly_scaled_diagonal_accepted(self):
         # condition number 1e12, reciprocal 1e-12: above the 1e-13 threshold
-        x = kernel.solve_linear(np.diag([1e8, 1e-4]), np.array([1e8, 1e-4]))
-        assert x == pytest.approx([1.0, 1.0], rel=1e-15)
+        for route in GATED:
+            x = route(np.diag([1e8, 1e-4])) @ np.array([1e8, 1e-4])
+            assert x == pytest.approx([1.0, 1.0], rel=1e-15)
 
     def test_recovers_solution_up_to_20x20(self):
         rng = np.random.default_rng(13)
@@ -105,11 +117,16 @@ class TestSolveLinear:
         assert x[0] == pytest.approx(2.0)
 
     def test_shape_errors(self):
-        with pytest.raises(DimensionError):
-            kernel.solve_linear(np.ones((2, 3)), np.ones((2, 1)))
-        with pytest.raises(DimensionError):
+        for route in GATED:
+            with pytest.raises(DimensionError, match="must be square"):
+                route(np.ones((2, 3)))
+        with pytest.raises(DimensionError, match="right-hand side has 3 rows"):
             kernel.solve_linear(np.eye(2), np.ones((3, 1)))
 
+    def test_empty(self):
+        assert kernel.inverse(np.zeros((0, 0))).shape == (0, 0)
+        assert kernel.solve_linear(np.zeros((0, 0)), np.zeros((0, 2))).shape == (0, 2)
+        assert kernel.solve_linear(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
 
     def test_rcond_is_the_one_of_the_transposed_norms(self):
         # the gate reads column sums directly; it must decide, and print,
@@ -120,8 +137,11 @@ class TestSolveLinear:
             a = u @ np.diag(np.logspace(0, -15, n)) @ u.T
             inv = np.linalg.inv(a)
             rcond = 1.0 / (method_inf_norm(a.T) * method_inf_norm(inv.T))
-            with pytest.raises(SingularMatrixError, match=f"reciprocal condition {rcond:.3e}"):
-                kernel.solve_linear(a, np.ones(n))
+            for route in GATED:
+                with pytest.raises(
+                    SingularMatrixError, match=f"reciprocal condition {rcond:.3e}"
+                ):
+                    route(a)
 
 
 def method_inf_norm(m):

@@ -45,6 +45,15 @@ def test_date_zero_of_the_per_period_loop(back_spec, horizon):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("horizon", [1, 50])
+def test_one_inverse_per_period(golden_spec, back_spec, inv_calls, horizon):
+    # S(t) serves both F_y(t) and F_z(t)
+    for spec in (golden_spec, back_spec):
+        inv_calls.clear()
+        backward_induction(spec, horizon)
+        assert len(inv_calls) == horizon
+
+
 def test_single_step_zero_transition():
     spec = scalar_spec(beta=0.9, a=0.0, q=2.0)
     sol = backward_induction(spec, 1)

@@ -1,6 +1,13 @@
-"""``auglqr.solve``: the stages it runs, in order, and the names it reports."""
+"""``auglqr.solve``: the stages it runs, in order, the names it reports, and
+the inverses it takes."""
+
+import numpy as np
+import pytest
 
 from auglqr import anchor_x0, build_closed_loop, solve, solve_riccati, solve_sylvester
+from auglqr.model import symmetrize
+
+from _support import load_fixture
 
 
 def test_stage_names_in_order(golden_spec):
@@ -25,3 +32,14 @@ def test_same_bits_as_the_stages_by_hand(back_spec):
     ]
     for got, want in pairs:
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["golden", "back"])
+def test_one_inverse_per_matrix(name, inv_calls):
+    # R, the W of each doubling step, S once for both gains, and P_y[x,x]
+    # when there is a forward block: golden has n_x = 1, back n_x = 0
+    spec = load_fixture(f"{name}.json")
+    reg = solve(spec)[0]
+    assert len(inv_calls) == reg.iterations + 2 + (spec.dims.n_x > 0)
+    s = symmetrize(spec.R + spec.beta * (spec.B_y.T @ reg.P_y @ spec.B_y))
+    assert sum(np.array_equal(m, s) for m in inv_calls) == 1
