@@ -1,7 +1,7 @@
 """Ramsey optimal policy via the discounted augmented linear-quadratic regulator.
 
-The pipeline, in order: validate a model, screen it for stabilizability (a
-PBH test of the modes on or outside 1/sqrt(beta), and a stable forcing
+The pipeline, in order: validate a model, screen it for stabilizability (no
+uncontrollable mode on or outside 1/sqrt(beta), and a stable forcing
 block), then ``solve``, the one chain of the solver's stages: the Riccati
 equation for the feedback gain, the Sylvester equation for the feedforward
 gain on exogenous forcing variables, the anchoring of the forward-looking

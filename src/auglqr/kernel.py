@@ -1,11 +1,11 @@
 """Dense linear-algebra primitives shared by every solver module.
 
-All operations work on 2-D float64 numpy arrays; ``rank`` also takes complex
-ones.  Eigenvalues, ranks and solves delegate to the LAPACK routines behind
-``numpy.linalg``, the only numerical dependency at run time.  :func:`stein`
-solves X = C + b M X N for P_z and the loss, and :func:`converge` stops it
-and the Riccati doubling in ``regulator`` by one rule.  :class:`Frozen` is
-the base of every container the pipeline passes from stage to stage.
+All operations work on 2-D float64 numpy arrays.  Eigenvalues and solves
+delegate to the LAPACK routines behind ``numpy.linalg``, the only numerical
+dependency at run time.  :func:`stein` solves X = C + b M X N for P_z and
+the loss, and :func:`converge` stops it and the Riccati doubling in
+``regulator`` by one rule.  :class:`Frozen` is the base of every container
+the pipeline passes from stage to stage.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .errors import DimensionError, DivergenceError, SingularMatrixError
 
 #: reciprocal 1-norm condition number at or below which a solve is declared singular
 RCOND_MIN = 1e-13
-#: relative tolerance for the numerical rank
-RANK_RTOL = 1e-10
 #: relative step size at which a doubling iteration stops
 DEFAULT_TOL = 1e-12
 #: cap on doubling steps; step k covers 2^k periods of the plain recursion
@@ -99,23 +97,6 @@ def spectral_radius(m: np.ndarray) -> float:
 def radius_of(eig: np.ndarray) -> float:
     """Largest modulus among given eigenvalues; 0.0 when there are none."""
     return float(np.abs(eig).max(initial=0.0))
-
-
-def rank(m: np.ndarray) -> int:
-    """Numerical rank: the count of singular values above
-    RANK_RTOL * max(rows, cols) * sigma_max.
-
-    Complex input keeps its imaginary part (the PBH gate passes A - lambda I).
-    Rank decides no invertibility: whether a matrix can be inverted is left
-    to the reciprocal-condition gate of :func:`inverse` alone.
-    """
-    m = np.atleast_2d(np.asarray(m))
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_RTOL * max(m.shape) * s[0]))
 
 
 def inverse(a: np.ndarray) -> np.ndarray:

@@ -150,13 +150,14 @@ class ValidationReport:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """(M + M') / 2 -- exact identity for already-symmetric matrices."""
+    """M + (M' - M) / 2 -- exact identity, free of overflow, for symmetric matrices."""
     m = np.asarray(m, dtype=float)
-    return (m + m.T) / 2.0
+    return m + (m.T - m) / 2.0
 
 
 def _check_symmetric(name: str, m: np.ndarray, out: list[str]) -> bool:
-    gap = np.abs(m - m.T)
+    with np.errstate(over="ignore"):  # a gap beyond the double range is inf
+        gap = np.abs(m - m.T)
     worst = float(gap.max(initial=0.0))
     if worst > TOL_SYM:
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)

@@ -174,7 +174,7 @@ def single_input_model(rng: np.random.Generator, n_y: int, radius: float = 0.97)
     The Riccati solver stabilizes it, though its Kalman matrix [B, AB, ...]
     is numerically rank deficient.  beta is 0.95; at radius 1.1 the seeded
     n_y = 60 and n_y = 100 draws each have eight modes outside 1/sqrt(beta),
-    so the PBH gate has modes to test.
+    so the stabilizability gate runs its staircase.
     """
     a_yy = rng.normal(size=(n_y, n_y))
     a_yy *= radius / np.max(np.abs(np.linalg.eigvals(a_yy)))
@@ -196,9 +196,9 @@ def single_input_model(rng: np.random.Generator, n_y: int, radius: float = 0.97)
 def overflowing_doubling_model() -> ModelSpec:
     """A_yy = diag(1e30, 0.5) with only the stable mode controlled, beta = 1.
 
-    The PBH gate rejects it.  Forced past the gate, the Riccati doubling
-    squares the uncontrolled mode until A_k overflows at step 5, before any
-    iterate reaches BLOWUP.
+    The stabilizability gate rejects it.  Forced past the gate, the Riccati
+    doubling squares the uncontrolled mode until A_k overflows at step 5,
+    before any iterate reaches BLOWUP.
     """
     return ModelSpec(
         dims=Dims(n_k=2, n_x=0, n_z=0, n_u=1),

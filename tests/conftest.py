@@ -20,6 +20,20 @@ def inv_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The matrices np.linalg.svd is called on, in call order."""
+    calls = []
+    original = np.linalg.svd
+
+    def counted(m, *args, **kwargs):
+        calls.append(np.array(m))
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def golden_spec():
     return load_fixture("golden.json")

@@ -5,14 +5,14 @@ import pytest
 
 from auglqr import DivergenceError, Dims, ModelSpec, run_checks, solve_riccati
 
-from _support import load_fixture, scalar_spec
+from _support import load_fixture, scalar_spec, single_input_model
 
 
-def pair_spec(a_yy, b_y):
+def pair_spec(a_yy, b_y, beta=1.0):
     n_y, n_u = np.shape(b_y)
     return ModelSpec(
         dims=Dims(n_k=n_y, n_x=0, n_z=0, n_u=n_u),
-        beta=1.0,
+        beta=beta,
         A_yy=a_yy,
         A_yz=np.zeros((n_y, 0)),
         A_zz=np.zeros((0, 0)),
@@ -25,8 +25,60 @@ def pair_spec(a_yy, b_y):
     )
 
 
+def defective_draw(i):
+    """A = S[[2, 1], [0, 2]]S^-1 and B = S[1; 0] for the i-th S of seed 1:
+    the double eigenvalue 2 is defective and uncontrollable."""
+    rng = np.random.default_rng(1)
+    for _ in range(i + 1):
+        s = rng.normal(size=(2, 2))
+    return pair_spec(s @ [[2.0, 1.0], [0.0, 2.0]] @ np.linalg.inv(s), s[:, :1], beta=0.95)
+
+
+def beside_controllable_mode(block):
+    """The 2x2 block, unreached by the input, next to the controllable mode 2,
+    all seen through one fixed similarity."""
+    a = np.zeros((3, 3))
+    a[:2, :2] = block
+    a[2, 2] = 2.0
+    s = np.random.default_rng(5).normal(size=(3, 3)) + 3.0 * np.eye(3)
+    return pair_spec(s @ a @ np.linalg.inv(s), s @ [[0.0], [0.0], [1.0]], beta=0.95)
+
+
+#: case -> (model builder, controllability_rank the gate reports)
+GATE_CASES = {
+    **{f"defective-draw-{i}": (lambda i=i: defective_draw(i), 1) for i in range(5)},
+    # both modes of the pair count: the rank is n_y - 2
+    "uncontrollable-pair-1.44": (
+        lambda: beside_controllable_mode([[1.2, -0.8], [0.8, 1.2]]), 1
+    ),
+    "uncontrollable-jordan-inside": (
+        lambda: beside_controllable_mode([[0.5, 1.0], [0.0, 0.5]]), 3
+    ),
+    # an input controls an unstable mode at any scale of either: columns are scaled first
+    **{
+        f"scalar-a{a:g}-b{b:g}": (lambda a=a, b=b: pair_spec([[a]], [[b]]), 1)
+        for a, b in [(2.0, 1e-11), (2.0, 1e-13), (1000.0, 1e-11), (1000.0, 1e-13),
+                     (1e10, 1.0), (1e15, 1.0)]
+    },
+    # the squares of these entries overflow, their column's 2-norm must not
+    "input-entries-near-overflow": (
+        lambda: pair_spec([[2.0, 0.0], [0.0, 3.0]], [[1.7e308], [-1.7e308]]), 2
+    ),
+    **{
+        f"single-input-{n_y}-{radius}": (
+            lambda n_y=n_y, radius=radius: single_input_model(
+                np.random.default_rng(n_y), n_y, radius
+            ),
+            n_y,
+        )
+        for n_y in (60, 100)
+        for radius in (1.3, 1.45, 1.6)
+    },
+}
+
+
 def chain_spec():
-    # the mode 1.5 lies outside the unit circle, so the PBH gate has a rank to take
+    # the mode 1.5 lies outside the unit circle, so the staircase runs
     return pair_spec([[1.5, 1.0], [0.0, 0.0]], [[0.0], [1.0]])
 
 
@@ -117,6 +169,21 @@ class TestRunChecks:
         else:
             with pytest.raises(DivergenceError):
                 solve_riccati(spec)
+
+    @pytest.mark.parametrize("build, rank", GATE_CASES.values(), ids=GATE_CASES.keys())
+    def test_staircase_gate(self, build, rank):
+        spec = build()
+        report = run_checks(spec)
+        assert report.controllability_rank == rank
+        assert report.controllable == (rank == spec.dims.n_y)
+
+    def test_stable_a_yy_takes_no_svd(self, suite_models, svd_calls):
+        golden = suite_models[0][1]
+        for _, spec in suite_models[1:]:
+            assert run_checks(spec).controllable
+        assert svd_calls == []
+        run_checks(golden)  # |a| = 1/sqrt(beta) = 1: on the circle
+        assert svd_calls
 
     def test_no_forcing_block_is_vacuously_stable(self):
         report = run_checks(scalar_spec(beta=0.99))

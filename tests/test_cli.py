@@ -21,6 +21,7 @@ UNCONTROLLABLE = str(MODELS_DIR / "uncontrollable.json")
 EXPLOSIVE = str(MODELS_DIR / "explosive_forcing.json")
 BAD_SCHEMA = str(MODELS_DIR / "bad_schema.json")
 SINGULAR_FORWARD = str(MODELS_DIR / "singular_forward.json")
+DEFECTIVE = str(MODELS_DIR / "defective_uncontrollable.json")
 
 
 def run(capsys, *argv):
@@ -66,6 +67,19 @@ class TestExitStatuses:
             "warning [checks]: controllability rank 1 < 2 (forced)",
             "error [riccati]: Riccati iteration diverged at iteration 5 (step nan)",
         ]
+
+    def test_defective_uncontrollable_mode_is_rejected(self, capsys):
+        # the uncontrollable mode 2 is a Jordan block; its computed eigenvalues
+        # may come out split apart, which must not change the verdict
+        code, out, _ = run(capsys, "check", "--model", DEFECTIVE)
+        assert code == 1
+        assert json.loads(out)["controllability_rank"] == 1
+        code, out, _ = run(capsys, "solve", "--model", DEFECTIVE)
+        assert code == 1
+        assert json.loads(out)["stage"] == "checks"
+        code, out, err = run(capsys, "solve", "--model", DEFECTIVE, "--force")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == "warning [checks]: controllability rank 1 < 2 (forced)"
 
     def test_explosive_forcing_rejected_even_with_force(self, capsys):
         code, out, _ = run(capsys, "solve", "--model", EXPLOSIVE, "--force")
@@ -157,6 +171,34 @@ class TestExitStatuses:
         code, out, err = run(capsys, "validate", "--model", str(path))
         assert (code, out) == (3, "")
         assert err.splitlines() == [f"error [model-load]: {message}"]
+
+    @pytest.mark.parametrize(
+        "model, field, value, status, solve_error",
+        [
+            ("golden", "Q_yy", [[1.7e308]], 0,
+             "error [riccati]: Riccati iteration diverged at iteration 1 (step inf)"),
+            ("golden", "R", [[1.7e308]], 0,
+             "error [riccati]: Riccati iteration did not converge within 100 iterations"),
+            ("defective_uncontrollable", "Q_yy", [[1.0, 1.7e308], [-1.7e308, 1.0]], 1,
+             "failure [validate]: see report"),
+        ],
+        ids=["huge-Q_yy", "huge-R", "asymmetric-huge-Q_yy"],
+    )
+    def test_finite_extreme_entries_print_no_numpy_warning(
+        self, capsys, tmp_path, model, field, value, status, solve_error
+    ):
+        doc = json.loads((MODELS_DIR / f"{model}.json").read_text())
+        doc[field] = value
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(doc))
+        # the suite turns warnings into errors, so a numpy warning fails here
+        rejected = ["failure [validate]: see report"] if status else []
+        for command in ("validate", "check"):
+            code, _, err = run(capsys, command, "--model", str(path))
+            assert (code, err.splitlines()) == (status, rejected)
+        code, _, err = run(capsys, "solve", "--model", str(path))
+        assert code == (2 if status == 0 else 1)
+        assert err.startswith(solve_error)
 
 
 class TestUsageErrors:
@@ -540,10 +582,10 @@ NO_SCIPY_SCRIPT = """
 import contextlib, io, json, sys
 sys.modules["scipy"] = None  # from here on, any scipy import raises ImportError
 from auglqr.cli import main
-codes = {}
+codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        codes[argv[0]] = main(argv)
+        codes.append(main(argv))
 loaded = [name for name, module in sys.modules.items()
           if name.partition(".")[0] == "scipy" and module is not None]
 print(json.dumps({"codes": codes, "scipy_modules": loaded}))
@@ -555,6 +597,8 @@ def test_runs_without_scipy():
         [cmd, "--model", GOLDEN]
         for cmd in ("validate", "check", "solve", "simulate", "irf", "var", "oracle-compare")
     ]
+    # a rejection runs the whole stabilizability gate, staircase included
+    commands.append(["check", "--model", DEFECTIVE])
     env = dict(os.environ, PYTHONPATH=str(Path(auglqr.__file__).resolve().parent.parent))
     result = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(commands)],
@@ -564,5 +608,5 @@ def test_runs_without_scipy():
     )
     assert result.returncode == 0, result.stderr
     outcome = json.loads(result.stdout)
-    assert outcome["codes"] == {argv[0]: 0 for argv in commands}
+    assert outcome["codes"] == [0] * 7 + [1]
     assert outcome["scipy_modules"] == []

@@ -43,29 +43,6 @@ class TestEigenvalues:
         assert kernel.eigenvalues(np.zeros((0, 0))).size == 0
 
 
-class TestRank:
-    def test_identity(self):
-        assert kernel.rank(np.eye(3)) == 3
-
-    def test_proportional_rows(self):
-        assert kernel.rank([[1.0, 2.0], [2.0, 4.0]]) == 1
-
-    def test_zero_matrix(self):
-        assert kernel.rank(np.zeros((3, 3))) == 0
-
-    def test_rank_equals_rank_of_transpose(self):
-        rng = np.random.default_rng(11)
-        for cols in (2, 4, 6):
-            m = rng.normal(size=(4, cols))
-            assert kernel.rank(m) == kernel.rank(m.T)
-
-    def test_complex_input_keeps_imaginary_part(self):
-        # rows that are complex multiples of each other: rank 1
-        assert kernel.rank([[1.0, 1j], [1j, -1.0]]) == 1
-        assert kernel.rank([[1.0, 1j], [-1j, 1.0]]) == 1
-        assert kernel.rank([[1.0, 1j], [1j, 1.0]]) == 2
-
-
 def through_solve(a):
     """The inverse of a as kernel.solve_linear returns it: a solve against I."""
     return kernel.solve_linear(a, np.eye(np.shape(a)[0]))

@@ -104,7 +104,7 @@ class TestBuildClosedLoop:
         assert main(["var", "--model", str(path)]) == 0
         assert capsys.readouterr().err == ""
         calls = list(eigvals_calls)
-        # PBH gate, forcing gate, the solver's closed loop; none in build_closed_loop
+        # stabilizability gate, forcing gate, the solver's closed loop; none in build_closed_loop
         checked = [spec.A_yy, spec.A_zz, solve_riccati(spec).A_cl]
         assert len(calls) == len(checked)
         for m, expected in zip(calls, checked):
