@@ -83,8 +83,11 @@ def _uncontrollable_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Dooren, IEEE TAC 26(1), 1981): the nonzero columns of b are scaled to
     ||a||_2, which leaves stabilizability alone, and each step keeps the
     singular values of its input block above RANK_RTOL (n + m) ||a||_2.
+    An ||a||_2 that overflows is refused as a numerical failure.
     """
     scale = np.linalg.norm(a, 2)
+    if not math.isfinite(scale):  # the input columns cannot be scaled to it
+        raise np.linalg.LinAlgError(f"staircase needs a finite ||A_yy||_2, got {scale}")
     tol = RANK_RTOL * sum(b.shape) * scale
     peak = np.abs(b).max(axis=0)  # entries at most 1 first, so no norm overflows
     b = b[:, peak > 0.0] / peak[peak > 0.0]

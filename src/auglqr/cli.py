@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,7 @@ def _checked(convert, ok, requirement: str):
     return parse
 
 
+@cache  # one per process: in-process callers parse many argvs
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="auglqr",
@@ -183,20 +185,19 @@ def _render_report(report: dict, fmt: str) -> str:
     return "key,value\n" + "\n".join(lines) + "\n"
 
 
-#: a JSON cell's printf spec (plain, integral, pre-rendered text) followed by a
-#: separator (in a row, at its end, after the last row) or a settled row's rest
+#: JSON cell separators: in a row, at a row's end, after the last row
+_JSON_SEPS = (",\n      ", "\n    ],\n    [\n      ", "")
+#: a cell's printf spec (plain, integral, pre-rendered text) and separator; a t cell
 _JSON_CELLS = np.array(
-    [
-        spec + sep
-        for sep in (",\n      ", "\n    ],\n    [\n      ", "", "%s")
-        for spec in ("%.12g", "%.1f", "%s")
-    ],
+    [spec + sep for sep in _JSON_SEPS for spec in ("%.12g", "%.1f", "%s")]
+    + ["%d.0" + _JSON_SEPS[0]],
     dtype=object,
 )
 
 
 def _render_table(columns: list[str], rows: np.ndarray, fmt: str, extra: dict) -> str:
-    """Render a path table through one ``%`` pass over all of its cells.
+    """Render a path table: ``columns`` are "t", which prints 0, 1, ... as
+    ``%d`` in CSV and ``%d.0`` in JSON, and those of ``rows``.
 
     A CSV cell prints as ``_csv_cell`` prints the float.  A JSON cell prints
     as ``_jsonable`` and the json encoder print it: the repr of the value
@@ -205,10 +206,10 @@ def _render_table(columns: list[str], rows: np.ndarray, fmt: str, extra: dict) -
     ``template % values``; the labels go into the header, never into the
     template, so a ``%`` in a label is printed as it is.
 
-    A path that settles at a fixed point ends in rows whose cells after t
-    repeat the last row's bit for bit.  The first such row prints in full;
-    the text after its t cell is rendered once and fills every later row as
-    one ``%s`` value, so each of those costs only its own t cell.
+    A path that settles at a fixed point ends in rows that repeat the last
+    row bit for bit.  The first such row prints in full; every later row is
+    its own t followed by the text of that row after its t, so the settled
+    block is one ``str.join`` of the t values with that text between them.
 
     For most JSON cells ``%.12g`` already prints that repr.  The text of a
     finite normal double has at most 12 significant digits with trailing
@@ -230,23 +231,23 @@ def _render_table(columns: list[str], rows: np.ndarray, fmt: str, extra: dict) -
     Pre-rendered text is computed once per distinct value; no two distinct
     values in that set compare equal, since it holds neither nan nor a zero.
     """
-    width = rows.shape[1]
-    rest = rows[:, 1:].view(np.uint64)  # bits: -0.0 is not 0.0, nan is nan
-    ends = rest if (rest[-2:] == rest[-1]).all() else rest[-2:]  # else none settled
-    moved = np.flatnonzero((ends != rest[-1]).any(axis=1)) + len(rest) - len(ends)
-    settled = int(moved[-1]) + 1 if moved.size else 0
-    lead, times = rows[: settled + 1], rows[settled + 1 :, 0]
-    tail = [None] * (2 * len(times))  # t cell, then the settled remainder
+    height, width = rows.shape
+    bits = rows.view(np.uint64)  # -0.0 is not 0.0, nan is nan
+    ends = bits if (bits[-2:] == bits[-1]).all() else bits[-2:]  # else none settled
+    moved = np.flatnonzero((ends != bits[-1]).any(axis=1)) + height - len(ends)
+    lead = rows[: int(moved[-1]) + 2 if moved.size else 1]
+    times = map(str, range(len(lead), height))  # the t of each later settled row
     if fmt == "csv":
         header = ",".join(_csv_field(c) for c in columns)
-        remainder = (",%.12g" * (width - 1)) % tuple(lead[-1, 1:].tolist())
-        tail[::2], tail[1::2] = times.tolist(), [remainder] * len(times)
-        table = [",".join(["%.12g"] * width)] * len(lead) + ["%.12g%s"] * len(times)
-        values = lead.ravel().tolist()
-        values += tail  # in place: a copy of every cell would cost milliseconds
-        return header + "\n" + "\n".join(table) % tuple(values) + "\n"
+        spec = ",%.12g" * width
+        table = (spec + "\n").join(map(str, range(len(lead)))) + spec
+        table %= tuple(lead.ravel().tolist())
+        if len(lead) < height:
+            rest = spec % tuple(lead[-1].tolist())
+            table += "\n" + (rest + "\n").join(times) + rest
+        return header + "\n" + table + "\n"
 
-    flat = np.concatenate([lead.ravel(), times]) if len(times) else lead.ravel()
+    flat = lead.ravel()
     values = flat.tolist()
     with np.errstate(invalid="ignore"):  # inf - rint(inf)
         size = np.abs(flat)
@@ -260,22 +261,20 @@ def _render_table(columns: list[str], rows: np.ndarray, fmt: str, extra: dict) -
         values[i] = text[values[i]]
     for i in np.flatnonzero(~finite).tolist():
         values[i] = json.dumps(values[i])
-    kind = integer + 2 * (exact | ~finite)
-    cells = kind[: lead.size].reshape(len(lead), width)
+    cells = np.full((len(lead), width + 1), len(_JSON_CELLS) - 1)  # t cells
+    cells[:, 1:] = (integer + 2 * (exact | ~finite)).reshape(len(lead), width)
     cells[:, -1] += 3  # row ends
-    if tail:
-        # the settled row after its t cell: the row with t printed empty
-        row, cut = cells[-1].copy(), ["", *values[lead.size - width + 1 : lead.size]]
-        row[0] += 2 - row[0] % 3
-        tail[1::2] = ["".join(_JSON_CELLS[row].tolist()) % tuple(cut)] * len(times)
-        row[-1] += 3
-        tail[-1] = "".join(_JSON_CELLS[row].tolist()) % tuple(cut)
-        tail[::2] = values[lead.size :]
-        values[lead.size :] = tail
-        kind[lead.size :] += 9
-    else:
+    if len(lead) == height:
         cells[-1, -1] += 3  # the last cell
-    table = "".join(_JSON_CELLS[kind].tolist()) % tuple(values)
+    items = [0] * cells.size  # t, then the row's cells, for each row
+    items[:: width + 1] = range(len(lead))
+    for j in range(width):
+        items[j + 1 :: width + 1] = values[j::width]
+    table = "".join(_JSON_CELLS[cells.ravel()].tolist()) % tuple(items)
+    if len(lead) < height:
+        # the settled row printed with t = 0, less that "0"
+        rest = ("".join(_JSON_CELLS[cells[-1]].tolist()) % (0, *values[-width:]))[1:]
+        table += rest.join(times) + rest[: -len(_JSON_SEPS[1])]
     # json.dumps(indent=2) lays out the rest of the report, with the rows
     # last; the table replaces the empty row list it ends with
     head = json.dumps(_jsonable({**extra, "columns": columns, "rows": []}), indent=2)
@@ -292,9 +291,7 @@ def _trajectory_table(traj, spec):
         + names["u"]
         + [f"mu_{n}" for n in names["y"]]
     )
-    t = np.arange(traj.horizon, dtype=float)[:, None]
-    rows = np.hstack([t, traj.y, traj.z, traj.u, traj.mu])
-    return columns, rows
+    return columns, np.hstack([traj.y, traj.z, traj.u, traj.mu])
 
 
 # --- pipeline ---------------------------------------------------------------
@@ -426,12 +423,14 @@ def main(argv=None) -> int:
     except (OSError, ModelFormatError, UnicodeDecodeError) as exc:
         _diag(f"error [{stage}]: {exc}")
         return EXIT_IO
+    # LAPACK's LinAlgError is a ValueError, yet a numerical failure
+    except (SingularMatrixError, DivergenceError, InstabilityError,
+            np.linalg.LinAlgError) as exc:
+        _diag(f"error [{stage}]: {exc}")
+        return EXIT_NUMERICAL
     except (DimensionError, ValueError) as exc:
         _diag(f"error [{stage}]: {exc}")
         return EXIT_REJECTED
-    except (SingularMatrixError, DivergenceError, InstabilityError) as exc:
-        _diag(f"error [{stage}]: {exc}")
-        return EXIT_NUMERICAL
     except MemoryError as exc:
         # e.g. a horizon whose path arrays cannot be allocated
         _diag(f"error [{stage}]: out of memory: {exc}")

@@ -110,26 +110,29 @@ def state_path(
 ) -> np.ndarray:
     """Rows s_0 .. s_{horizon-1} of s_{t+1} = transition s_t (+ drive[t]).
 
+    A step is the bound ``transition.dot``: np.dot's C routine, bits and all,
+    without the ``__array_function__`` dispatch, a third of a step at n <= 6.
     An undriven step is a fixed function of its input's bits: once a row
     repeats the one before it bit for bit (-0.0 and NaN included), every
     later row is that row, so the loop tests for it after each chunk of
-    periods and copies the settled row into the rest.
+    periods and copies the settled row into the rest.  It takes row views a
+    chunk at a time, so it builds none for the rows it copies.
     """
     states = np.empty((horizon, len(start)))
     states[0] = start
-    rows = list(states)  # row views, taken once
-    dot, add = np.dot, np.add
+    dot, add = transition.dot, np.add
     if drive is None:
         for first in range(0, horizon - 1, _SETTLE_CHUNK):
-            last = min(first + _SETTLE_CHUNK, horizon - 1)
-            for prev, row in zip(rows[first:last], rows[first + 1 : last + 1]):
-                dot(transition, prev, out=row)
-            if rows[last].tobytes() == rows[last - 1].tobytes():
-                states[last + 1 :] = rows[last]
+            rows = list(states[first : first + _SETTLE_CHUNK + 1])
+            for prev, row in zip(rows, rows[1:]):
+                dot(prev, out=row)
+            if rows[-1].tobytes() == rows[-2].tobytes():
+                states[first + len(rows) :] = rows[-1]
                 break
     else:
+        rows = list(states)
         for prev, row, push in zip(rows, rows[1:], drive):
-            dot(transition, prev, out=row)
+            dot(prev, out=row)
             add(row, push, out=row)
     return states
 

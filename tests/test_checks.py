@@ -54,6 +54,10 @@ GATE_CASES = {
     "uncontrollable-jordan-inside": (
         lambda: beside_controllable_mode([[0.5, 1.0], [0.0, 0.5]]), 3
     ),
+    # 1/sqrt(0.25) = 2 exactly: an uncontrollable mode on the circle is not stabilizable
+    "uncontrollable-mode-on-the-circle": (
+        lambda: pair_spec([[2.0, 0.0], [0.0, 0.5]], [[0.0], [1.0]], beta=0.25), 1
+    ),
     # an input controls an unstable mode at any scale of either: columns are scaled first
     **{
         f"scalar-a{a:g}-b{b:g}": (lambda a=a, b=b: pair_spec([[a]], [[b]]), 1)

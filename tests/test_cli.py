@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import auglqr
-from auglqr.cli import main
+from auglqr.cli import build_parser, main
 
 from _support import MODELS_DIR, overflowing_doubling_model, save_model, scalar_spec
 
@@ -200,6 +200,24 @@ class TestExitStatuses:
         assert code == (2 if status == 0 else 1)
         assert err.startswith(solve_error)
 
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_overflowing_a_yy_norm_is_a_numerical_failure(self, capsys, tmp_path, command):
+        # ||A_yy||_2 = 3.4e308 overflows: the staircase cannot scale B_y to it
+        doc = json.loads(Path(DEFECTIVE).read_text())
+        doc["A_yy"] = [[1.7e308, 1.7e308], [1.7e308, 1.7e308]]
+        doc["B_y"] = [[1.0], [0.0]]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, command, "--model", str(path))
+        assert [str(w.message) for w in caught] == []
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error [checks]: staircase needs a finite ||A_yy||_2, got inf"
+        ]
+        assert "Warning" not in err
+
 
 class TestUsageErrors:
     """argparse's usage errors exit 1; status 2 is kept for numerical failure."""
@@ -220,6 +238,18 @@ class TestUsageErrors:
             main(["--help"])
         assert exc.value.code == 0
         assert "oracle-compare" in capsys.readouterr().out
+
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys):
+        assert build_parser() is build_parser()
+        argv = ["simulate", "--model", GOLDEN, "--format", "csv"]
+        code, out, _ = run(capsys, *argv, "--noise-seed", "-1")
+        assert (code, out) == (1, "")
+        code, out, _ = run(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "auglqr.cli", *argv], capture_output=True, text=True
+        )
+        assert (code, fresh.returncode) == (0, 0)
+        assert out == fresh.stdout
 
     def test_process_exit_status(self):
         result = subprocess.run(

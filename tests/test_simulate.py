@@ -371,18 +371,20 @@ class TestStatePathMatchesLoop:
             simulate_path(runaway, spec, reg, aug, horizon, shocks)
 
 
-@pytest.fixture
-def dot_calls(monkeypatch):
-    """The number of np.dot calls made so far (state_path steps with np.dot)."""
-    calls = [0]
-    original = np.dot
+class CountingDot(np.ndarray):
+    """A transition that counts the calls of its bound ``dot``: state_path
+    steps with ``transition.dot``, once per period it computes."""
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
+    def dot(self, *args, **kwargs):
+        self.calls += 1
+        return super().dot(*args, **kwargs)
 
-    monkeypatch.setattr(np, "dot", counted)
-    return calls
+
+def counting(matrix):
+    """``matrix`` as a CountingDot whose count starts at 0."""
+    counted = np.array(matrix, dtype=float).view(CountingDot)
+    counted.calls = 0
+    return counted
 
 
 def first_repeat(states):
@@ -432,13 +434,13 @@ class TestSettlingPathMatchesLoop:
         [(-0.9, 2.5e-323, 8000), (-0.5, 0.0, 3000)],
         ids=["subnormals", "zeros"],
     )
-    def test_sign_flipping_cycle_runs_to_the_end(self, dot_calls, a, tiny, horizon):
+    def test_sign_flipping_cycle_runs_to_the_end(self, a, tiny, horizon):
         # -0.9 ends in the 2-cycle +-5 ulp; -0.5 in the 2-cycle +-0.0, rows
         # that compare equal with == but are not the same bits
         states = same_rows_as_loop(np.array([[a]]), np.array([1.0]), horizon)
-        dot_calls[0] = 0
-        state_path(np.array([[a]]), np.array([1.0]), horizon)
-        assert dot_calls[0] == horizon - 1
+        transition = counting([[a]])
+        state_path(transition, np.array([1.0]), horizon)
+        assert transition.calls == horizon - 1
         assert first_repeat(states) is None
         assert np.abs(states[-2:, 0]).tolist() == [tiny, tiny]
         assert np.signbit(states[-2, 0]) != np.signbit(states[-1, 0])
@@ -455,15 +457,15 @@ class TestSettlingPathMatchesLoop:
 
     @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
     @pytest.mark.parametrize("size", [-2, -1, 0, _SETTLE_CHUNK - 1])
-    def test_fixed_point_at_a_chunk_boundary(self, dot_calls, size, offset):
+    def test_fixed_point_at_a_chunk_boundary(self, size, offset):
         m = _SETTLE_CHUNK + size  # the first repeat is row m + 1
         start = np.eye(m)[0]
         full = same_rows_as_loop(shift(m), start, 3 * _SETTLE_CHUNK)
         assert first_repeat(full) == m + 1
-        dot_calls[0] = 0
-        state_path(shift(m), start, 3 * _SETTLE_CHUNK)
+        transition = counting(shift(m))
+        state_path(transition, start, 3 * _SETTLE_CHUNK)
         # stepped to the end of the chunk that holds the first repeat, no further
-        assert dot_calls[0] == -(-(m + 1) // _SETTLE_CHUNK) * _SETTLE_CHUNK
+        assert transition.calls == -(-(m + 1) // _SETTLE_CHUNK) * _SETTLE_CHUNK
         # horizons that end just before, at and just after the first repeat
         states = same_rows_as_loop(shift(m), start, m + 1 + offset)
         assert np.array_equal(states, full[: m + 1 + offset])
@@ -476,19 +478,20 @@ class TestSettlingPathMatchesLoop:
         states = same_rows_as_loop(system.T_cl, system.state0, horizon)
         assert np.array_equal(states, full[:horizon])
 
-    def test_golden_irf_stops_at_its_fixed_point(self, golden_solved, dot_calls):
+    def test_golden_irf_stops_at_its_fixed_point(self, golden_solved):
         spec, reg, aug, _, system = golden_solved
-        traj = irf(system, spec, reg, aug, 10_000, 0)  # np.dot runs in state_path only
-        assert dot_calls[0] <= 1_076 + _SETTLE_CHUNK
+        counted = replace(system, T_cl=counting(system.T_cl))
+        traj = irf(counted, spec, reg, aug, 10_000, 0)
+        assert 1_076 <= counted.T_cl.calls <= 1_076 + _SETTLE_CHUNK
         assert not traj.y[1_076:].any() and not traj.z[1_076:].any()
 
     @pytest.mark.parametrize("driven", [False, True], ids=["free", "driven"])
-    def test_path_that_never_settles_steps_every_period(self, dot_calls, driven):
+    def test_path_that_never_settles_steps_every_period(self, driven):
         # the simulate-long benchmark's forcing radius: 0.999^t stays normal
-        transition = np.array([[0.5, 1.0], [0.0, 0.999]])
+        transition = counting([[0.5, 1.0], [0.0, 0.999]])
         drive = np.zeros((10_000, 2)) if driven else None
         states = state_path(transition, np.array([0.0, 1.0]), 10_000, drive)
-        assert dot_calls[0] == 10_000 - 1
+        assert transition.calls == 10_000 - 1
         assert first_repeat(states) is None
 
 

@@ -135,23 +135,37 @@ def first_difference(old: str, new: str) -> tuple[int, str | None, str | None] |
     return next(((number, a, b) for number, (a, b) in enumerate(pairs, 1) if a != b), None)
 
 
+def repo_root() -> Path:
+    """The top directory of the repository around the current directory."""
+    return Path(
+        subprocess.run(["git", "rev-parse", "--show-toplevel"], check=True,
+                       capture_output=True, text=True).stdout.strip()
+    )
+
+
+def extract(root: Path, rev: str, dest: Path) -> bool:
+    """Write the tree of ``rev`` into ``dest`` with ``git archive``.
+
+    Returns False, with git's message on stderr, when ``rev`` cannot be archived.
+    """
+    archive = subprocess.run(["git", "-C", str(root), "archive", rev], capture_output=True)
+    if archive.returncode != 0:
+        print(archive.stderr.decode(errors="replace"), end="", file=sys.stderr)
+        return False
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return True
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, metavar="REV", help="git revision")
     args = parser.parse_args(argv)
-    root = Path(
-        subprocess.run(["git", "rev-parse", "--show-toplevel"], check=True,
-                       capture_output=True, text=True).stdout.strip()
-    )
+    root = repo_root()
     with tempfile.TemporaryDirectory(prefix="compare-reports-") as tmp:
         work = Path(tmp)
-        archive = subprocess.run(["git", "-C", str(root), "archive", args.base],
-                                 capture_output=True)
-        if archive.returncode != 0:
-            print(archive.stderr.decode(errors="replace"), end="", file=sys.stderr)
+        if not extract(root, args.base, work / "base"):
             return 2
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(work / "base", filter="data")
         matrix = argv_matrix(gather_models(root, work / "models"))
         trees = {"base": work / "base" / "src", "head": root / "src"}
         digests = run_trees(trees, matrix, work, digest=True)
